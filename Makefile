@@ -20,7 +20,7 @@ test:
 race:
 	$(GO) test -race -short -timeout 10m ./...
 	$(GO) test -race -timeout 10m ./internal/expt
-	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestChaosBlock|TestSharded' .
+	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestChaosBlock|TestTPCCNUMAAgentsRaceFree' .
 
 # Fuzz smoke: 10 seconds per native fuzz target over the committed
 # corpora (go test -fuzz takes one target per invocation).
@@ -39,21 +39,17 @@ chaos-smoke:
 bench-sweep:
 	$(GO) run ./cmd/compassrun -sweepbench BENCH_sweep.json -parallel 0
 
-# Single-run engine throughput: heap-vs-calendar dispatch microbenchmark,
-# end-to-end sim-cycles/sec (with allocs/event gates) for TPCC and
-# SPECWeb, and the sharded-engine speedup leg. GOMAXPROCS is pinned
-# explicitly — honour the caller's value, else the host's core count —
-# because the sharded leg is a parallelism measurement and container CPU
-# detection silently under-reports on hosted runners (same rule as the
-# bench-sweep CI job).
+# Single-run engine throughput: heap-vs-calendar dispatch microbenchmark
+# plus end-to-end sim-cycles/sec (with allocs/event and events/sec gates)
+# for TPCC, SPECWeb, TPC-D and the three-tier workload.
 bench-core:
-	GOMAXPROCS=$${GOMAXPROCS:-$$(nproc 2>/dev/null || echo 1)} $(GO) run ./cmd/compassrun -corebench BENCH_core.json
+	$(GO) run ./cmd/compassrun -corebench BENCH_core.json
 
 vet:
 	$(GO) vet ./...
 
-# The determinism/snapshot/lane invariant suite (see DESIGN.md §11 and
-# §15). Fails on any finding not recorded in compassvet.baseline.json,
+# The determinism/snapshot/allocation invariant suite (see DESIGN.md §11
+# and §14). Fails on any finding not recorded in compassvet.baseline.json,
 # and on baseline entries that no longer match anything (-fail-stale),
 # so the debt ledger can only shrink.
 vet-compass:

@@ -117,7 +117,7 @@ func RunTPCCAuto(cfg Config, w TPCCConfig, ac AutoCkpt) (Result, error) {
 	var m *machine.Machine
 	if ac.Dir != "" {
 		if path, ok := latestAutoCkpt(ac.Dir, cfg); ok {
-			mm, sections, err := restoreCheckpointFile(path, cfg.Shards)
+			mm, sections, err := restoreCheckpointFile(path)
 			if err != nil {
 				return Result{}, err
 			}

@@ -67,16 +67,13 @@ func saveCheckpointFile(path string, m *machine.Machine, sections []checkpoint.S
 	return f.Close()
 }
 
-// restoreCheckpointFile rebuilds a machine from a checkpoint file,
-// resuming at the caller's shard count (snapshots themselves are
-// shard-count-invariant).
-func restoreCheckpointFile(path string, shards int) (*machine.Machine, map[string][]byte, error) {
+func restoreCheckpointFile(path string) (*machine.Machine, map[string][]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	return checkpoint.RestoreFullShards(f, shards)
+	return checkpoint.RestoreFull(f)
 }
 
 func spawnTPCCAgents(m *machine.Machine, wl *tpcc.Workload, base, n int) {
@@ -106,7 +103,7 @@ func RunTPCCWithOptions(cfg Config, warm, measured TPCCConfig, opts RunOptions) 
 	if opts.ResumeFrom != "" {
 		var sections map[string][]byte
 		var err error
-		m, sections, err = restoreCheckpointFile(opts.ResumeFrom, cfg.Shards)
+		m, sections, err = restoreCheckpointFile(opts.ResumeFrom)
 		if err != nil {
 			return Result{}, err
 		}
@@ -183,7 +180,7 @@ func RunSPECWebWithOptions(cfg Config, warm, measured SPECWebConfig, workers, co
 	if opts.ResumeFrom != "" {
 		var sections map[string][]byte
 		var err error
-		m, sections, err = restoreCheckpointFile(opts.ResumeFrom, cfg.Shards)
+		m, sections, err = restoreCheckpointFile(opts.ResumeFrom)
 		if err != nil {
 			return Result{}, err
 		}

@@ -1,10 +1,13 @@
 package compass
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"compass/internal/checkpoint"
@@ -120,6 +123,23 @@ func TestCheckpointReadInfo(t *testing.T) {
 	}
 	if inf.UserCycles == 0 || inf.KernelCycles == 0 {
 		t.Errorf("empty stats summary: %+v", inf)
+	}
+
+	// The same file stamped with format version 1 — the layout before the
+	// shard count and the syscall/pairing counters were dropped — must
+	// fail resume with the version error, not a hash or decode mismatch.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(data[12:16], 1)
+	old := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := os.WriteFile(old, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("format version 1, want %d", checkpoint.Version)
+	if _, err := RunTPCCWithOptions(cfg, warm, measured, RunOptions{ResumeFrom: old}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("resume of a version-1 file: err = %v, want %q", err, want)
 	}
 }
 

@@ -52,7 +52,6 @@ func main() {
 	var (
 		workload   = flag.String("workload", "tpcd", "tpcc | tpcd | specweb | tier3 | sor")
 		cpus       = flag.Int("cpus", 4, "simulated CPUs")
-		shards     = flag.Int("shards", 0, "backend lanes sharing one simulation across host cores (0/1 = serial; results are byte-identical at any value)")
 		arch       = flag.String("arch", "simple", "fixed | simple | smp | ccnuma | coma")
 		nodes      = flag.Int("nodes", 1, "NUMA nodes (ccnuma/coma)")
 		placement  = flag.String("placement", "round-robin", "round-robin | block | first-touch")
@@ -129,7 +128,6 @@ func main() {
 	spec := compass.RunSpec{
 		Workload:  *workload,
 		CPUs:      *cpus,
-		Shards:    *shards,
 		Arch:      *arch,
 		Nodes:     *nodes,
 		Placement: *placement,

@@ -1,7 +1,7 @@
-// Command compassvet is the project's determinism, shard-safety and
-// allocation-discipline checker: a multichecker over the
+// Command compassvet is the project's determinism, snapshot-completeness
+// and allocation-discipline checker: a multichecker over the
 // internal/analysis suite (detwallclock, detmaprange, snapfields,
-// evtclosure, lanescope, allochot, lookaheadfloor).
+// evtclosure, allochot).
 //
 // Usage:
 //

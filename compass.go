@@ -125,11 +125,6 @@ type Result struct {
 	// tail-latency table; empty unless the run used the open-loop
 	// generator.
 	LoadTable string
-	// Windows and ParallelWindows count the sharded backend's
-	// conservative synchronization windows (zero on a serial run). They
-	// are host-side execution facts like Wall, not simulation results:
-	// determinism comparisons must exclude them.
-	Windows, ParallelWindows uint64
 }
 
 // String renders a one-line summary.
@@ -154,7 +149,6 @@ func finish(name string, m *machine.Machine, end uint64, wall time.Duration) Res
 		Syscalls: m.OS.FormatSyscallProfile(8),
 	}
 	m.FaultCounters(res.Counters)
-	res.Windows, res.ParallelWindows, _ = m.Sim.WindowStats()
 	return res
 }
 

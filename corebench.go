@@ -94,40 +94,6 @@ type CoreBench struct {
 	MicroSpeedup float64 `json:"micro_speedup"`
 	// Workloads holds the end-to-end runs.
 	Workloads []CoreBenchWorkload `json:"workloads"`
-	// Sharded is the conservative-window engine leg.
-	Sharded CoreBenchSharded `json:"sharded"`
-}
-
-// CoreBenchSharded records the sharded-engine measurement: one stream of
-// self-rescheduling lane tasks per non-home lane — the shard plan of an
-// 8-simulated-CPU machine — dispatched once through the serial loop and
-// once through conservative windows. The task bodies burn real host CPU
-// (standing in for frontend execution), so the ratio measures what the
-// windows actually buy once barrier and merge costs are paid.
-type CoreBenchSharded struct {
-	// Shards is the lane count, home lane included.
-	Shards int `json:"shards"`
-	// QuantumCycles is the conservative lookahead between lanes (the NIC
-	// wire latency, matching machine.ShardPlan for a networked config).
-	QuantumCycles uint64 `json:"quantum_cycles"`
-	// Events is the task count dispatched by each leg.
-	Events int `json:"events"`
-	// SerialEventsPerSec is the dispatch rate without windows.
-	SerialEventsPerSec float64 `json:"serial_events_per_sec"`
-	// ShardedEventsPerSec is the dispatch rate through RunWindow.
-	ShardedEventsPerSec float64 `json:"sharded_events_per_sec"`
-	// Speedup is ShardedEventsPerSec / SerialEventsPerSec.
-	Speedup float64 `json:"speedup"`
-	// Windows and ParallelWindows count the conservative windows the
-	// sharded leg ran, and how many engaged more than one lane.
-	Windows         uint64 `json:"windows"`
-	ParallelWindows uint64 `json:"parallel_windows"`
-	// GateMinSpeedup is enforced when GateApplies: the sharded leg must
-	// reach this speedup or the bench fails. GateApplies is false on a
-	// single-core host, where the windows cannot run anything in parallel
-	// and the measurement would only show barrier overhead.
-	GateMinSpeedup float64 `json:"gate_min_speedup"`
-	GateApplies    bool    `json:"gate_applies"`
 }
 
 // coreMicroEvents sizes the microbenchmark: large enough that per-call
@@ -165,93 +131,6 @@ func runHeapMicro(events int) float64 {
 		q.Step()
 	}
 	return float64(events) / time.Since(t0).Seconds()
-}
-
-// Sharded-leg sizing: 8 lanes mirror an 8-simulated-CPU shard plan, the
-// quantum is the NIC wire latency that machine.ShardPlan derives, and
-// each task burns ~1.5µs of host CPU — the order of one frontend
-// timeslice — so windows carry realistic work across the barrier.
-const (
-	shardedBenchLanes   = 8
-	shardedBenchQuantum = 5000
-	shardedBenchGens    = 20_000
-	shardedBenchBurn    = 1500
-	shardedBenchDelta   = 800
-)
-
-// benchSink keeps the burn loops observable so they cannot be
-// dead-code-eliminated.
-var benchSink uint64
-
-func burnTask(rounds int) uint64 {
-	x := uint64(0x9E3779B97F4A7C15)
-	for i := 0; i < rounds; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-	}
-	return x
-}
-
-// runShardedLeg builds one self-rescheduling stream per non-home lane and
-// drives the identical task population either through conservative
-// windows or through the plain serial dispatch loop (lane scheduling
-// passes through to the global queue outside windows, so the streams are
-// the same code in both legs).
-func runShardedLeg(useWindows bool) (evPerSec float64, windows, parallel uint64) {
-	q := event.NewQueue()
-	eng := event.NewSharded(q, shardedBenchLanes, shardedBenchQuantum, nil)
-	streams := shardedBenchLanes - 1
-	accs := make([]uint64, streams)
-	for i := 0; i < streams; i++ {
-		l := eng.Lane(1 + i)
-		acc := &accs[i]
-		gens := 0
-		var fn func()
-		fn = func() {
-			*acc ^= burnTask(shardedBenchBurn)
-			gens++
-			if gens < shardedBenchGens {
-				l.AfterKeep(shardedBenchDelta, "bench", fn)
-			}
-		}
-		l.AfterKeep(event.Cycle(1+i*13), "bench", fn)
-	}
-
-	const horizon = event.Cycle(1) << 62
-	t0 := time.Now()
-	for {
-		if useWindows && eng.RunWindow(horizon) {
-			continue
-		}
-		if !q.Step() {
-			break
-		}
-	}
-	elapsed := time.Since(t0).Seconds()
-	for _, a := range accs {
-		benchSink ^= a
-	}
-	windows, parallel, _ = eng.Windows()
-	return float64(streams*shardedBenchGens) / elapsed, windows, parallel
-}
-
-// runShardedBench measures the serial leg first, windows second (same
-// warm-host ordering rule as the micro).
-func runShardedBench(hostCores int) CoreBenchSharded {
-	s := CoreBenchSharded{
-		Shards:         shardedBenchLanes,
-		QuantumCycles:  shardedBenchQuantum,
-		Events:         (shardedBenchLanes - 1) * shardedBenchGens,
-		GateMinSpeedup: 1.3,
-		GateApplies:    hostCores >= 2,
-	}
-	s.SerialEventsPerSec, _, _ = runShardedLeg(false)
-	s.ShardedEventsPerSec, s.Windows, s.ParallelWindows = runShardedLeg(true)
-	if s.SerialEventsPerSec > 0 {
-		s.Speedup = s.ShardedEventsPerSec / s.SerialEventsPerSec
-	}
-	return s
 }
 
 // measureWorkload runs one workload with allocation accounting around it.
@@ -318,12 +197,6 @@ func RunCoreBench(cfg Config) (CoreBench, error) {
 				w.Name, w.EventsPerSec, w.EventsPerSecGate)
 		}
 	}
-
-	b.Sharded = runShardedBench(b.HostCores)
-	if b.Sharded.GateApplies && b.Sharded.Speedup < b.Sharded.GateMinSpeedup {
-		return b, fmt.Errorf("sharded engine speedup %.2fx below the %.1fx gate on a %d-core host",
-			b.Sharded.Speedup, b.Sharded.GateMinSpeedup, b.HostCores)
-	}
 	return b, nil
 }
 
@@ -344,12 +217,5 @@ func (b CoreBench) String() string {
 		s += fmt.Sprintf("\n%-8s %.3g sim cycles/s, %.3g ev/s (floor %.3g), %.1f allocs/ev (gate %.1f, %.2fs host)",
 			w.Name, w.SimCyclesPerSec, w.EventsPerSec, w.EventsPerSecGate, w.AllocsPerEvent, w.AllocsPerEventGate, w.HostSeconds)
 	}
-	gate := "gate waived: single-core host"
-	if b.Sharded.GateApplies {
-		gate = fmt.Sprintf("gate >= %.1fx", b.Sharded.GateMinSpeedup)
-	}
-	s += fmt.Sprintf("\nsharded  %d lanes: serial %.3g ev/s, windows %.3g ev/s — %.2fx (%d windows, %d parallel; %s)",
-		b.Sharded.Shards, b.Sharded.SerialEventsPerSec, b.Sharded.ShardedEventsPerSec,
-		b.Sharded.Speedup, b.Sharded.Windows, b.Sharded.ParallelWindows, gate)
 	return s
 }

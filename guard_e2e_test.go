@@ -2,6 +2,8 @@ package compass
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -237,4 +239,48 @@ func TestChaosBlockClassification(t *testing.T) {
 			t.Fatal("watchdog abort carries no cycle")
 		}
 	})
+}
+
+// Bundles written before the sharded backend was removed carry a
+// "shards" field in their spec. encoding/json drops the unknown field,
+// so such a bundle still decodes to the same run and replays to its
+// bundled failure through the -repro path (ReadBundle + RunSpecGuarded).
+func TestReproBundleIgnoresRemovedSpecField(t *testing.T) {
+	dir := t.TempDir()
+	manifest := `{
+  "spec": {
+    "workload": "tpcc", "cpus": 2, "arch": "", "nodes": 0, "placement": "",
+    "sched": "", "rtc": true, "agents": 2, "tx": 3, "rows": 0, "requests": 0,
+    "shards": 2,
+    "faults": "seed=7,disk.transient=0.3,net.drop=0.05",
+    "seed": 13,
+    "chaos": "crashseed=13"
+  },
+  "label": "seed-13",
+  "kind": "panic",
+  "reason": "chaos",
+  "cycle": 0
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := guard.ReadBundle(dir)
+	if err != nil {
+		t.Fatalf("bundle with a shards field did not decode: %v", err)
+	}
+	want := RunSpec{
+		Workload: "tpcc", CPUs: 2, RTC: true, Agents: 2, Tx: 3,
+		Faults: "seed=7,disk.transient=0.3,net.drop=0.05",
+		Seed:   13,
+		Chaos:  "crashseed=13",
+	}
+	if m.Spec != want {
+		t.Fatalf("decoded spec %+v, want %+v", m.Spec, want)
+	}
+	_, err = RunSpecGuarded(m.Spec, GuardConfig{})
+	var a *guard.Abort
+	if !errors.As(err, &a) || a.Kind.String() != m.Kind {
+		t.Fatalf("replay returned %v, want the bundled %s failure", err, m.Kind)
+	}
 }

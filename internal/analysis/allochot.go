@@ -13,7 +13,7 @@ import (
 // packages' own files, as evtclosure's package list does, but in every
 // function the dispatcher can reach. Hotness starts at functions bound
 // to the scheduler (Queue.At/AtKeep/After, ScheduleTask,
-// Lane.After/AfterKeep/Send) from a hot package and propagates through
+// ScheduleQueueTask) from a hot package and propagates through
 // call edges across all simulation packages, so an osserver or fs
 // helper called from a scheduled task inherits the discipline.
 //
@@ -107,7 +107,7 @@ func checkHotNode(pass *Pass, n *CGNode, ann *lineAnnotations) {
 		if !ok {
 			return true
 		}
-		if _, _, ok := classifySched(n.Pkg, call); ok {
+		if _, ok := schedCallName(n.Pkg.TypesInfo, call); ok && len(call.Args) > 0 {
 			if lit, ok := unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit); ok {
 				schedLits[lit] = true
 			}

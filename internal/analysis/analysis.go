@@ -98,7 +98,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full compassvet suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Detwallclock, Detmaprange, Snapfields, Evtclosure, Lanescope, Allochot, Lookaheadfloor}
+	return []*Analyzer{Detwallclock, Detmaprange, Snapfields, Evtclosure, Allochot}
 }
 
 // Run applies each analyzer to each loaded package and returns the

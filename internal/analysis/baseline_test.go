@@ -70,16 +70,16 @@ func TestBaselineRoundTripAndFilter(t *testing.T) {
 	}
 }
 
-// TestBaselineNewAnalyzerKinds round-trips findings from the three
-// call-graph analyzers: baseline identity is (analyzer, file, message),
-// so lanescope/allochot/lookaheadfloor entries budget, suppress and go
-// stale exactly like the original four analyzers'.
+// TestBaselineNewAnalyzerKinds round-trips findings from the call-graph
+// analyzer (allochot) next to the per-package ones: baseline identity
+// is (analyzer, file, message), so allochot entries budget, suppress and
+// go stale exactly like the others'.
 func TestBaselineNewAnalyzerKinds(t *testing.T) {
 	accepted := []analysis.Diagnostic{
-		diag("lanescope", "internal/loadgen/loadgen.go", "access to field Q of home-lane type core.Sim in lane-scheduled loadgen.(*class).tick"),
+		diag("detmaprange", "internal/loadgen/loadgen.go", "range over map g.inflight feeds the event queue in loadgen.(*Generator).onFail"),
 		diag("allochot", "internal/loadgen/loadgen.go", "fmt.Sprintf boxes every operand into an interface on the event-dispatch hot path"),
 		diag("allochot", "internal/loadgen/loadgen.go", "fmt.Sprintf boxes every operand into an interface on the event-dispatch hot path"),
-		diag("lookaheadfloor", "internal/loadgen/loadgen.go", "Lane.Send delay 100 is below the shard lookahead (5000 cycles)"),
+		diag("snapfields", "internal/loadgen/loadgen.go", "field class.left not covered by the snapshot"),
 	}
 	path := filepath.Join(t.TempDir(), "baseline.json")
 	if err := analysis.WriteBaseline(path, accepted); err != nil {
@@ -93,13 +93,13 @@ func TestBaselineNewAnalyzerKinds(t *testing.T) {
 		t.Fatalf("round trip kept %d findings, want 4", len(b.Findings))
 	}
 
-	// The lanescope entry recurs, one allochot instance is fixed (the
+	// The detmaprange entry recurs, one allochot instance is fixed (the
 	// leftover budget is reported stale so the file shrinks), the
-	// lookaheadfloor entry is fixed entirely (stale), and a same-file
+	// snapfields entry is fixed entirely (stale), and a same-file
 	// allochot finding with a different message is fresh: the message
 	// is part of the identity.
 	now := []analysis.Diagnostic{
-		diag("lanescope", "internal/loadgen/loadgen.go", "access to field Q of home-lane type core.Sim in lane-scheduled loadgen.(*class).tick"),
+		diag("detmaprange", "internal/loadgen/loadgen.go", "range over map g.inflight feeds the event queue in loadgen.(*Generator).onFail"),
 		diag("allochot", "internal/loadgen/loadgen.go", "fmt.Sprintf boxes every operand into an interface on the event-dispatch hot path"),
 		diag("allochot", "internal/loadgen/loadgen.go", "make(map) allocates on the event-dispatch hot path"),
 	}
@@ -111,13 +111,13 @@ func TestBaselineNewAnalyzerKinds(t *testing.T) {
 		t.Fatalf("fresh = %+v, want only the new-message allochot finding", fresh)
 	}
 	if len(stale) != 2 {
-		t.Fatalf("stale = %+v, want the leftover allochot budget and the fixed lookaheadfloor entry", stale)
+		t.Fatalf("stale = %+v, want the leftover allochot budget and the fixed snapfields entry", stale)
 	}
 	staleBy := map[string]bool{}
 	for _, e := range stale {
 		staleBy[e.Analyzer] = true
 	}
-	if !staleBy["allochot"] || !staleBy["lookaheadfloor"] {
-		t.Fatalf("stale = %+v, want one allochot and one lookaheadfloor entry", stale)
+	if !staleBy["allochot"] || !staleBy["snapfields"] {
+		t.Fatalf("stale = %+v, want one allochot and one snapfields entry", stale)
 	}
 }

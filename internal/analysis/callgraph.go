@@ -1,7 +1,7 @@
 package analysis
 
-// callgraph.go is the shared static call-graph facility the
-// whole-program analyzers (lanescope, allochot) build on. It computes a
+// callgraph.go is the static call-graph facility the whole-program
+// allochot analyzer builds on. It computes a
 // class-hierarchy-analysis (CHA) call graph over every loaded package:
 //
 //   - Nodes are function bodies: declared functions and methods plus
@@ -15,11 +15,11 @@ package analysis
 //     elements, resolved by a field-insensitive value-flow fixpoint
 //     (the prebound `cl.tickFn = cl.tick` idiom the hot paths use).
 //   - Scheduler bindings are recorded separately from call edges: a
-//     function value handed to event.Queue.At/AtKeep/After, a
-//     Sim-style ScheduleTask, or event.Lane.After/AfterKeep/Send does
-//     not "call" its argument at the call site — it publishes it to be
-//     dispatched later, in a context the SchedKind names. The lane
-//     analyzers root their walks in these bindings.
+//     function value handed to event.Queue.At/AtKeep/After or a
+//     Sim-style ScheduleTask/ScheduleQueueTask does not "call" its
+//     argument at the call site — it publishes it to be dispatched
+//     later, from the event loop. Allochot roots its walk in these
+//     bindings.
 //
 // The graph is conservative in the direction the analyzers need: an
 // unresolved dynamic call produces no edges (a missed finding there is
@@ -44,9 +44,8 @@ type Program struct {
 
 	cg *CallGraph
 
-	// memoized analyzer working sets (see lanescope.go / allochot.go)
-	laneReach map[*CGNode]bool
-	hotReach  map[*CGNode]bool
+	// memoized allochot working set (see allochot.go)
+	hotReach map[*CGNode]bool
 }
 
 // CallGraph returns the program's CHA call graph, building it on first
@@ -93,9 +92,6 @@ func (n *CGNode) Name() string {
 	return fmt.Sprintf("%s.func-literal@line-%d", n.Pkg.Types.Name(), pos.Line)
 }
 
-// Callees returns the node's outgoing call edges.
-func (n *CGNode) Callees() []*CGNode { return n.callees }
-
 func (n *CGNode) addCallee(c *CGNode) {
 	if c == nil || n.calleeSet[c] {
 		return
@@ -107,32 +103,10 @@ func (n *CGNode) addCallee(c *CGNode) {
 	n.callees = append(n.callees, c)
 }
 
-// SchedKind classifies where a scheduler-bound function executes.
-type SchedKind int
-
-const (
-	// SchedQueue is event.Queue.At/AtKeep/After: the global dispatch
-	// loop (home context in a sharded run).
-	SchedQueue SchedKind = iota
-	// SchedSim is a Sim-style ScheduleTask: the global dispatch loop.
-	SchedSim
-	// SchedLane is event.Lane.After/AfterKeep: the task runs on the
-	// binding lane, possibly inside a parallel window — lane context.
-	SchedLane
-	// SchedSend is event.Lane.Send: the task runs on the home lane one
-	// lookahead later — home context, reached from lane context.
-	SchedSend
-)
-
 // A SchedSite is one scheduler-binding call site with its resolved
 // function-argument targets.
 type SchedSite struct {
-	Call    *ast.CallExpr
-	Kind    SchedKind
-	Method  string // display name, e.g. "Lane.AfterKeep"
-	In      *CGNode
 	Pkg     *Package
-	FnArg   ast.Expr
 	Targets []*CGNode
 }
 
@@ -146,18 +120,10 @@ type CallGraph struct {
 	byLit map[*ast.FuncLit]*CGNode
 }
 
-// NodeOf returns the node of a declared function, or nil when its body
-// was not loaded.
-func (cg *CallGraph) NodeOf(fn *types.Func) *CGNode { return cg.byFn[fn] }
-
-// LitNode returns the node of a function literal.
-func (cg *CallGraph) LitNode(lit *ast.FuncLit) *CGNode { return cg.byLit[lit] }
-
 // Reach walks call edges from roots and returns the set of reachable
 // nodes (roots included). A non-nil stop predicate prunes the walk: a
 // node for which stop returns true is included in the result but its
-// callees are not followed — the lane analyzer uses this to flag a call
-// into home-lane code at the boundary instead of diving through it.
+// callees are not followed.
 func (cg *CallGraph) Reach(roots []*CGNode, stop func(*CGNode) bool) map[*CGNode]bool {
 	seen := make(map[*CGNode]bool)
 	var stack []*CGNode
@@ -359,10 +325,10 @@ func (b *cgBuilder) walkFile(pkg *Package, f *ast.File) {
 			if enc == nil {
 				return true // package-level initializer expressions
 			}
-			if kind, method, ok := classifySched(pkg, n); ok {
+			if _, ok := schedCallName(pkg.TypesInfo, n); ok && len(n.Args) > 0 {
 				fnArg := n.Args[len(n.Args)-1]
 				schedArgs[unparen(fnArg)] = true
-				site := &SchedSite{Call: n, Kind: kind, Method: method, In: enc, Pkg: pkg, FnArg: fnArg}
+				site := &SchedSite{Pkg: pkg}
 				b.cg.Sites = append(b.cg.Sites, site)
 				b.resolveInto(pkg, enc, fnArg, func(t *CGNode) {
 					site.Targets = append(site.Targets, t)
@@ -738,47 +704,6 @@ func (b *cgBuilder) chaResolve(recv types.Type, method string) []*CGNode {
 	}
 	b.ifaceMemo[key] = out
 	return out
-}
-
-// classifySched reports whether call is a scheduler binding and which
-// context the bound function will run in. The entry points are the
-// event queue (Queue.At/AtKeep/After), the Sim-style ScheduleTask
-// wrapper, and the sharded lane handles (Lane.After/AfterKeep run on
-// the lane; Lane.Send runs on the home lane).
-func classifySched(pkg *Package, call *ast.CallExpr) (SchedKind, string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || len(call.Args) == 0 {
-		return 0, "", false
-	}
-	selection := pkg.TypesInfo.Selections[sel]
-	if selection == nil || selection.Kind() != types.MethodVal {
-		return 0, "", false
-	}
-	recv := namedOrPointee(selection.Recv())
-	if recv == nil {
-		return 0, "", false
-	}
-	recvPkg := pkgPathOf(recv.Obj())
-	name := sel.Sel.Name
-	if isEventPackage(recvPkg) {
-		switch recv.Obj().Name() {
-		case "Queue":
-			if schedMethods[name] {
-				return SchedQueue, "Queue." + name, true
-			}
-		case "Lane":
-			switch name {
-			case "After", "AfterKeep":
-				return SchedLane, "Lane." + name, true
-			case "Send":
-				return SchedSend, "Lane.Send", true
-			}
-		}
-	}
-	if name == "ScheduleTask" && isSimPackage(recvPkg) {
-		return SchedSim, recv.Obj().Name() + ".ScheduleTask", true
-	}
-	return 0, "", false
 }
 
 func unparen(e ast.Expr) ast.Expr {

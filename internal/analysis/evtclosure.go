@@ -9,8 +9,9 @@ import (
 // Evtclosure guards the zero-alloc dispatch path the calendar-queue
 // rebuild established: in the hot simulation packages, function
 // literals handed to the event scheduler (event.Queue.At/AtKeep/After
-// or the Sim.ScheduleTask wrapper) must not capture loop-iteration
-// variables or allocate a fresh closure on a per-event path.
+// or the Sim.ScheduleTask/ScheduleQueueTask wrappers) must not capture
+// loop-iteration variables or allocate a fresh closure on a per-event
+// path.
 //
 // A capturing literal compiles to a heap-allocated funcval per
 // evaluation; on the memory-system hot path that reintroduces exactly
@@ -38,10 +39,8 @@ var hotAllocPackages = map[string]bool{
 // schedMethods are the event.Queue scheduling entry points.
 var schedMethods = map[string]bool{"At": true, "AtKeep": true, "After": true}
 
-// laneSchedMethods are the sharded backend's per-lane scheduling entry
-// points (event.Lane); they feed the same pooled task path as the
-// queue, so the closure rules apply identically.
-var laneSchedMethods = map[string]bool{"After": true, "AfterKeep": true, "Send": true}
+// simSchedMethods are the Sim-style wrappers over the event queue.
+var simSchedMethods = map[string]bool{"ScheduleTask": true, "ScheduleQueueTask": true}
 
 func runEvtclosure(pass *Pass) error {
 	if !isSimPackage(pass.PkgPath) {
@@ -92,7 +91,7 @@ func checkFuncForEvtClosures(pass *Pass, fd *ast.FuncDecl, hot bool) {
 		if !ok {
 			return true
 		}
-		name, ok := schedCallName(pass, call)
+		name, ok := schedCallName(pass.TypesInfo, call)
 		if !ok {
 			return true
 		}
@@ -132,13 +131,14 @@ func checkFuncForEvtClosures(pass *Pass, fd *ast.FuncDecl, hot bool) {
 }
 
 // schedCallName reports whether call schedules into the event queue
-// and, if so, returns a display name for the callee.
-func schedCallName(pass *Pass, call *ast.CallExpr) (string, bool) {
+// and, if so, returns a display name for the callee. The function
+// argument of such a call is always its last.
+func schedCallName(info *types.Info, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
-	selection := pass.TypesInfo.Selections[sel]
+	selection := info.Selections[sel]
 	if selection == nil || selection.Kind() != types.MethodVal {
 		return "", false
 	}
@@ -150,11 +150,8 @@ func schedCallName(pass *Pass, call *ast.CallExpr) (string, bool) {
 	if schedMethods[sel.Sel.Name] && recv.Obj().Name() == "Queue" && isEventPackage(recvPkg) {
 		return "Queue." + sel.Sel.Name, true
 	}
-	if laneSchedMethods[sel.Sel.Name] && recv.Obj().Name() == "Lane" && isEventPackage(recvPkg) {
-		return "Lane." + sel.Sel.Name, true
-	}
-	if sel.Sel.Name == "ScheduleTask" && isSimPackage(recvPkg) {
-		return recv.Obj().Name() + ".ScheduleTask", true
+	if simSchedMethods[sel.Sel.Name] && isSimPackage(recvPkg) {
+		return recv.Obj().Name() + "." + sel.Sel.Name, true
 	}
 	return "", false
 }

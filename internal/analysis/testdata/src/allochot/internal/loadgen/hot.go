@@ -14,22 +14,22 @@ import (
 )
 
 type worker struct {
-	lane   *event.Lane
+	q      *event.Queue
 	tickFn func()
 	buf    []int
 }
 
 // newWorker runs at setup time: it is not reachable from the tick, so
 // its allocations are legal.
-func newWorker(l *event.Lane) *worker {
-	w := &worker{lane: l, buf: make([]int, 0, 64)}
+func newWorker(q *event.Queue) *worker {
+	w := &worker{q: q, buf: make([]int, 0, 64)}
 	w.tickFn = w.tick
 	return w
 }
 
 // start binds the tick; the binding is what seeds hotness.
 func (w *worker) start() {
-	w.lane.AfterKeep(1, "tick", w.tickFn)
+	w.q.AtKeep(w.q.Now()+1, "tick", w.tickFn)
 }
 
 // tick is the per-event path; hotness propagates through every call it
@@ -115,7 +115,7 @@ func (w *worker) goodPooled() {
 // here rather than double-reporting.
 func (w *worker) schedArgOverlap() {
 	n := 0
-	w.lane.After(1, "once", func() { n++ })
+	w.q.After(1, "once", func() { n++ })
 }
 
 func (w *worker) badEmptyWhy() {

@@ -1,8 +1,8 @@
 // Package core is the detwallclock fixture: a simulation package that
 // reads the host clock and the global rand source in the banned ways,
 // next to the seeded alternatives that must stay legal. It also
-// provides the Sim.ScheduleTask wrapper the evtclosure fixtures
-// schedule through.
+// provides the Sim.ScheduleTask and Sim.ScheduleQueueTask wrappers the
+// evtclosure fixtures schedule through.
 package core
 
 import (
@@ -29,6 +29,11 @@ func (s *Sim) ScheduleTask(delay event.Cycle, label string, keep bool, fn func()
 	return s.Q.At(s.Q.Now()+delay, label, fn)
 }
 
+// ScheduleQueueTask forwards a keep-alive task to the queue.
+func (s *Sim) ScheduleQueueTask(delay event.Cycle, label string, fn func()) event.TaskRef {
+	return s.Q.AtKeep(s.Q.Now()+delay, label, fn)
+}
+
 func (s *Sim) wallClockAbuse() {
 	s.last = time.Now()          // want `time\.Now in simulation package core`
 	_ = time.Since(s.last)       // want `time\.Since in simulation package core`
@@ -48,7 +53,3 @@ func (s *Sim) seededRandIsLegal() int {
 	d := 5 * time.Second
 	return s.rng.Intn(int(d / time.Second))
 }
-
-// Publish mimics a package-level home-side helper: lane-scheduled code
-// calling it is a lanescope finding.
-func Publish(v uint64) { _ = v }

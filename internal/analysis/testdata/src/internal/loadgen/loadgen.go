@@ -5,10 +5,7 @@
 // site allocates a funcval per arrival and is flagged.
 package loadgen
 
-import (
-	"internal/core"
-	"internal/event"
-)
+import "internal/core"
 
 var totalArrivals uint64
 
@@ -45,24 +42,12 @@ func (c *class) badLoopVar() {
 	}
 }
 
-// laneClass mirrors the sharded generator: arrival ticks bound through
-// the per-lane handle feed the same pooled task path as the queue, so
-// the same closure rules apply to Lane.After/AfterKeep/Send.
-type laneClass struct {
-	lane    *event.Lane
-	offered uint64
-	tickFn  func()
+// goodQueuePrebound schedules the stored method value from the queue
+// clock, like the real generator's arrival stream.
+func (c *class) goodQueuePrebound() {
+	c.sim.ScheduleQueueTask(1, "loadgen-arrival", c.tickFn)
 }
 
-// goodLanePrebound schedules the stored method value through the lane.
-func (c *laneClass) goodLanePrebound() {
-	c.lane.AfterKeep(1, "loadgen-arrival", c.tickFn)
-}
-
-func (c *laneClass) badLaneCapture() {
-	c.lane.After(1, "loadgen-arrival", func() { c.offered++ }) // want `closure passed to Lane\.After captures "c" in hot package loadgen`
-}
-
-func (c *laneClass) badSendCapture(n uint64) {
-	c.lane.Send(5000, "loadgen-launch", func() { c.offered += n }) // want `closure passed to Lane\.Send captures "c" in hot package loadgen`
+func (c *class) badQueueCapture(n uint64) {
+	c.sim.ScheduleQueueTask(5000, "loadgen-launch", func() { c.offered += n }) // want `closure passed to Sim\.ScheduleQueueTask captures "c" in hot package loadgen`
 }

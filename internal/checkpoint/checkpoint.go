@@ -43,7 +43,10 @@ import (
 )
 
 // Version is the current snapshot format version. Restore rejects any other.
-const Version uint32 = 1
+// Version 2 dropped the backend shard count from the machine config and the
+// kernel/OS-server syscall and pairing counters from the body, so version-1
+// files fail here rather than on a config-hash or gob mismatch.
+const Version uint32 = 2
 
 // magic identifies a COMPASS checkpoint file (12 bytes, NUL-padded).
 var magic = [12]byte{'C', 'O', 'M', 'P', 'A', 'S', 'S', 'C', 'K', 'P', 'T', 0}
@@ -89,12 +92,9 @@ type Info struct {
 // other's snapshots iff their hashes match; the hash covers every Config
 // field via its Go-syntax representation. Host-side hooks (Observe) are
 // normalized away first: they carry no machine shape, and %#v would render
-// a function pointer's address, which varies between processes. The shard
-// count is likewise host-side only — sharded runs are byte-identical to
-// serial — so a snapshot taken at one shard count restores at any other.
+// a function pointer's address, which varies between processes.
 func ConfigHash(cfg machine.Config) [32]byte {
 	cfg.Observe = nil
-	cfg.Shards = 0
 	return sha256.Sum256([]byte(fmt.Sprintf("%#v", cfg)))
 }
 
@@ -181,15 +181,6 @@ func Restore(r io.Reader) (*machine.Machine, error) {
 // RestoreFull rebuilds a machine and returns the host-side workload
 // sections by name.
 func RestoreFull(r io.Reader) (*machine.Machine, map[string][]byte, error) {
-	return RestoreFullShards(r, 0)
-}
-
-// RestoreFullShards is RestoreFull with a backend shard count applied to
-// the restored machine. Snapshots are shard-count-invariant (Checkpoint
-// normalizes Cfg.Shards away), so a run checkpointed serially may resume
-// sharded and vice versa; the resumed run's results are byte-identical
-// either way.
-func RestoreFullShards(r io.Reader, shards int) (*machine.Machine, map[string][]byte, error) {
 	info, err := ReadInfo(r)
 	if err != nil {
 		return nil, nil, err
@@ -211,7 +202,6 @@ func RestoreFullShards(r io.Reader, shards int) (*machine.Machine, map[string][]
 		return nil, nil, fmt.Errorf("checkpoint: config hash mismatch (header %x, body %x)",
 			info.ConfigHash[:8], got[:8])
 	}
-	body.Machine.Cfg.Shards = shards
 	m, err := machine.Restore(body.Machine)
 	if err != nil {
 		return nil, nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -82,11 +83,15 @@ func TestRestoreTruncatedBody(t *testing.T) {
 	}
 }
 
-// Restore rejects an unknown format version before touching the body.
+// Restore rejects an unknown format version before touching the body —
+// including version 1, whose bodies carry fields version 2 dropped.
 func TestRestoreRejectsVersion(t *testing.T) {
-	if _, err := Restore(bytes.NewReader(goodHeader(Version + 1))); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Errorf("err = %v, want version mismatch", err)
+	for _, v := range []uint32{1, Version + 1} {
+		want := fmt.Sprintf("format version %d, want %d", v, Version)
+		if _, err := Restore(bytes.NewReader(goodHeader(v))); err == nil ||
+			!strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: err = %v, want %q", v, err, want)
+		}
 	}
 }
 

@@ -322,8 +322,3 @@ func (s *System) CheckInvariant(pa mem.PhysAddr) error {
 	}
 	return nil
 }
-
-// Lookahead implements memsys.Lookaheader: the fastest cross-node
-// interaction is a flat-directory lookup followed by network injection
-// plus one hop; the directory lookup alone lower-bounds it.
-func (s *System) Lookahead() event.Cycle { return s.cfg.DirCycles }

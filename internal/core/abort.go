@@ -41,7 +41,7 @@ func (e *DeadlockError) Error() string {
 // stops advancing exactly when the simulation stops making progress. Safe to
 // read from any goroutine while Run executes; the watchdog compares
 // successive reads to detect stalls.
-func (s *Sim) Progress() uint64 { return s.progress.Load() + s.eng.Progress() }
+func (s *Sim) Progress() uint64 { return s.progress.Load() }
 
 // RequestAbort asks a running backend to abandon the simulation: the Run
 // loop panics with *AbortError at its next iteration. Safe to call from any

@@ -71,15 +71,6 @@ type Config struct {
 	CtxSwitch event.Cycle
 	// CallCycles is the fixed backend-call (category-2 service) cost.
 	CallCycles event.Cycle
-	// Shards is the parallel-backend lane count: lane 0 is the home
-	// (coordinator) lane, lanes 1..Shards-1 run shard-affine task streams
-	// in conservative windows. 0 or 1 disables windows; results are
-	// byte-identical either way.
-	Shards int
-	// ShardLookahead is the conservative quantum in cycles — the minimum
-	// cross-shard interaction latency. Required (nonzero) when Shards > 1;
-	// machine derives it from the assembled topology.
-	ShardLookahead event.Cycle
 }
 
 // DefaultConfig returns a 4-CPU, 64 MB, FCFS machine with a fixed-latency
@@ -131,20 +122,14 @@ type procInfo struct {
 
 // Sim is the backend simulation process.
 type Sim struct {
-	cfg   Config //ckpt:skip rebuilt by New from the machine's Config
-	hub   *comm.Hub
-	queue *event.Queue
-	// eng is the sharded window engine over queue. It holds no simulation
-	// state between windows (everything lives in the queue at any point the
-	// coordinator can observe), which is what makes snapshots shard-count-
-	// invariant.
-	eng     *event.Sharded   //ckpt:skip stateless between windows; rebuilt by New
-	sharded bool             //ckpt:skip derived from cfg.Shards by New
-	phys    *mem.Physical    //ckpt:skip subsystem wiring; machine.Restore restores it separately
-	shm     *mem.ShmRegistry //ckpt:skip subsystem wiring; machine.Restore restores it separately
-	kernel  *mem.Space       //ckpt:skip subsystem wiring; machine.Restore restores it separately
-	model   memsys.Model     //ckpt:skip subsystem wiring; machine.Restore restores the model's own snapshot
-	ecc     *mem.ECC         //ckpt:skip subsystem wiring; machine.Restore restores the sampler's own snapshot
+	cfg    Config //ckpt:skip rebuilt by New from the machine's Config
+	hub    *comm.Hub
+	queue  *event.Queue
+	phys   *mem.Physical    //ckpt:skip subsystem wiring; machine.Restore restores it separately
+	shm    *mem.ShmRegistry //ckpt:skip subsystem wiring; machine.Restore restores it separately
+	kernel *mem.Space       //ckpt:skip subsystem wiring; machine.Restore restores it separately
+	model  memsys.Model     //ckpt:skip subsystem wiring; machine.Restore restores the model's own snapshot
+	ecc    *mem.ECC         //ckpt:skip subsystem wiring; machine.Restore restores the sampler's own snapshot
 
 	procs   []*procInfo
 	cpus    []cpuInfo
@@ -193,9 +178,6 @@ func New(cfg Config) *Sim {
 	if cfg.MemNodes < 1 {
 		cfg.MemNodes = 1
 	}
-	if cfg.Shards > 1 && cfg.ShardLookahead == 0 {
-		panic(fmt.Sprintf("core: Shards=%d requires a nonzero ShardLookahead — no cross-shard latency to derive a conservative quantum from (the machine layer derives it from the assembled topology)", cfg.Shards))
-	}
 	s := &Sim{
 		cfg:       cfg,
 		hub:       comm.NewHub(cfg.CPUs),
@@ -203,19 +185,6 @@ func New(cfg Config) *Sim {
 		phys:      mem.NewPhysical(cfg.MemFrames, cfg.MemNodes, cfg.Placement),
 		curProcID: -1,
 	}
-	lanes := cfg.Shards
-	if lanes < 1 {
-		lanes = 1
-	}
-	// The engine (and its lane handles) exists in serial mode too, so
-	// shard-affine components schedule through the same code path at every
-	// shard count — the passthrough lane is the serial scheduler.
-	s.eng = event.NewSharded(s.queue, lanes, cfg.ShardLookahead, func(now event.Cycle) {
-		if msg := s.abortMsg.Load(); msg != nil {
-			panic(&AbortError{Reason: *msg, Cycle: uint64(now)})
-		}
-	})
-	s.sharded = lanes > 1
 	s.shm = mem.NewShmRegistry(s.phys)
 	s.kernel = mem.NewSpace(s.phys)
 	s.model = cfg.NewModel(s.phys, cfg.CPUs)
@@ -253,31 +222,6 @@ func (s *Sim) ECC() *mem.ECC { return s.ecc }
 
 // CPUs returns the simulated CPU count.
 func (s *Sim) CPUs() int { return s.cfg.CPUs }
-
-// ShardCount returns the backend lane count (1 when unsharded).
-func (s *Sim) ShardCount() int { return s.eng.Lanes() }
-
-// ShardLookahead returns the conservative quantum in cycles (0 when the
-// machine derived none).
-func (s *Sim) ShardLookahead() event.Cycle { return s.eng.Lookahead() }
-
-// Lane maps an affinity key (a workload class index, a node id, ...) onto
-// a backend lane and returns its handle. With fewer than two lanes every
-// key maps to the home lane, whose handle schedules exactly like the
-// serial engine — components capture a Lane once at setup and run
-// unchanged at any shard count.
-func (s *Sim) Lane(affinity int) *event.Lane {
-	n := s.eng.Lanes()
-	if n < 2 || affinity < 0 {
-		return s.eng.Lane(0)
-	}
-	return s.eng.Lane(1 + affinity%(n-1))
-}
-
-// WindowStats reports how many conservative windows the sharded engine
-// ran, how many ran multi-lane, and how many tasks they dispatched (zero
-// on a serial run) — benchmark and report plumbing.
-func (s *Sim) WindowStats() (windows, parallel, tasks uint64) { return s.eng.Windows() }
 
 // NodeOf returns the node a CPU belongs to.
 func (s *Sim) NodeOf(cpu int) int { return cpu / s.cfg.CPUsPerNode }
@@ -390,29 +334,6 @@ func (s *Sim) Run() event.Cycle {
 		// published clock is exactly T (its next event cannot be earlier).
 		if qok && qt <= minRun && (pick == nil || qt <= pick.Pending().Time) {
 			armed = false
-			if s.sharded {
-				// A window may run every queued task up to and including
-				// the earliest frontend activity (tasks win ties, so the
-				// exclusive limit is one past it). Any event a running
-				// frontend posts meanwhile carries a later timestamp than
-				// everything the window dispatches, so handling it after
-				// the barrier matches the serial interleaving.
-				limit := minRun
-				if pick != nil {
-					if pt := pick.Pending().Time; pt < limit {
-						limit = pt
-					}
-				}
-				if limit != ^event.Cycle(0) {
-					limit++
-				}
-				if s.eng.RunWindow(limit) {
-					if now := s.queue.Now(); now > s.curTime {
-						s.curTime = now
-					}
-					continue
-				}
-			}
 			if qt > s.curTime {
 				s.curTime = qt
 			}
@@ -509,6 +430,17 @@ func (s *Sim) ScheduleTask(delay event.Cycle, label string, daemon bool, fn func
 	// The queue does the keep-alive accounting itself (released on dispatch
 	// or cancel), so no per-task wrapper closure is allocated here.
 	return s.queue.AtKeep(when, label, fn)
+}
+
+// QueueNow returns the global event queue's clock: inside a queued task,
+// the cycle that task was dispatched at. CurTime can run ahead of it.
+func (s *Sim) QueueNow() event.Cycle { return s.queue.Now() }
+
+// ScheduleQueueTask schedules fn as a non-daemon task delay cycles after
+// the queue clock (QueueNow) rather than the current processing time —
+// for task streams whose timing is defined purely by other queued tasks.
+func (s *Sim) ScheduleQueueTask(delay event.Cycle, label string, fn func()) event.TaskRef {
+	return s.queue.AtKeep(s.queue.Now()+delay, label, fn)
 }
 
 // Counters returns a merged snapshot of backend statistics (call after

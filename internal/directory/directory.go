@@ -498,15 +498,3 @@ func (s *System) CheckCoherence(pa mem.PhysAddr) error {
 	}
 	return nil
 }
-
-// Lookahead implements memsys.Lookaheader: the fastest cross-node
-// interaction is a single network traversal — injection plus one hop;
-// intra-node CPUs additionally share a bus transaction, so the minimum
-// over both paths is the smaller of the two.
-func (s *System) Lookahead() event.Cycle {
-	la := s.cfg.Net.InjectCost + s.cfg.Net.HopLatency
-	if s.cfg.BusCycles < la {
-		la = s.cfg.BusCycles
-	}
-	return la
-}

@@ -52,16 +52,6 @@ const (
 	stateFree taskState = iota
 	stateRing
 	stateOverflow
-	// statePending marks a window-born task buffered in its birth lane: it
-	// has no global sequence number yet; the barrier merge either places it
-	// into the queue (future / cross-shard) or finds it already run.
-	statePending
-	// stateLane marks a task drained out of the queue into a shard lane's
-	// run list for the current window.
-	stateLane
-	// stateDone marks a lane task that ran or was cancelled inside a
-	// window; the barrier recycles it.
-	stateDone
 )
 
 // Task is a unit of backend work dispatched at a fixed simulation cycle.
@@ -76,23 +66,6 @@ type Task struct {
 	label string
 	state taskState
 	keep  bool
-	// canceled marks a queued task cancelled by its own lane mid-window:
-	// the ref is immediately non-pending (matching serial Cancel), while
-	// the structural removal from the queue is deferred to the barrier,
-	// where the coordinator owns the queue again.
-	canceled bool
-
-	// shard is the lane that owns dispatching this task; 0 is the home
-	// (coordinator) lane. Only the sharded engine reads it — serial
-	// dispatch ignores shards entirely.
-	shard int32
-	// bornParent/bornIdx record the schedule moment of a window-born task:
-	// the task whose fn scheduled it and the birth order within that lane.
-	// The barrier merge sorts births by this record to assign the exact
-	// sequence numbers a serial run would have handed out. Cleared when the
-	// task gains a global sequence number (or is recycled).
-	bornParent *Task
-	bornIdx    uint32
 }
 
 // TaskRef is a handle to a scheduled task. The zero TaskRef is valid and
@@ -106,7 +79,7 @@ type TaskRef struct {
 
 // Pending reports whether the referenced task is still scheduled.
 func (r TaskRef) Pending() bool {
-	return r.t != nil && r.t.gen == r.gen && r.t.state != stateFree && r.t.state != stateDone && !r.t.canceled
+	return r.t != nil && r.t.gen == r.gen && r.t.state != stateFree
 }
 
 // When returns the cycle the task is scheduled at, or 0 when the ref is
@@ -240,10 +213,6 @@ func (q *Queue) recycle(t *Task) {
 	t.fn = nil
 	t.label = ""
 	t.state = stateFree
-	t.canceled = false
-	t.shard = 0
-	t.bornParent = nil
-	t.bornIdx = 0
 	q.free = append(q.free, t)
 }
 
@@ -253,14 +222,14 @@ func (q *Queue) clrLive(p int) { q.liveBits[p>>6] &^= 1 << uint(p&63) }
 // At schedules fn to run at absolute cycle when. Scheduling in the past
 // (before Now) is a simulator bug and panics.
 func (q *Queue) At(when Cycle, label string, fn func()) TaskRef {
-	return q.schedule(when, 0, label, false, fn)
+	return q.schedule(when, label, false, fn)
 }
 
 // AtKeep is At for tasks that participate in keep-alive accounting: the
 // backend runs until every process has exited and KeepAlive is zero.
 // Dispatch and Cancel both release the count.
 func (q *Queue) AtKeep(when Cycle, label string, fn func()) TaskRef {
-	return q.schedule(when, 0, label, true, fn)
+	return q.schedule(when, label, true, fn)
 }
 
 // After schedules fn to run delay cycles from now.
@@ -268,7 +237,7 @@ func (q *Queue) After(delay Cycle, label string, fn func()) TaskRef {
 	return q.At(q.now+delay, label, fn)
 }
 
-func (q *Queue) schedule(when Cycle, shard int32, label string, keep bool, fn func()) TaskRef {
+func (q *Queue) schedule(when Cycle, label string, keep bool, fn func()) TaskRef {
 	if when < q.now {
 		panic(fmt.Sprintf("event: task %q scheduled at %d, before now %d (next seq %d, %d pending)",
 			label, when, q.now, q.seq, q.Len()))
@@ -279,7 +248,6 @@ func (q *Queue) schedule(when Cycle, shard int32, label string, keep bool, fn fu
 	t.fn = fn
 	t.label = label
 	t.keep = keep
-	t.shard = shard
 	q.seq++
 	if keep {
 		q.keepAlive++
@@ -289,25 +257,6 @@ func (q *Queue) schedule(when Cycle, shard int32, label string, keep bool, fn fu
 		q.memo = t
 	}
 	return TaskRef{t: t, gen: t.gen}
-}
-
-// scheduleExisting inserts a lane-pool task whose when/shard/fn are already
-// set, assigning the next global sequence number — the barrier-merge path
-// that makes window-born futures get exactly the sequence numbers a serial
-// run would have assigned at the same schedule moments.
-func (q *Queue) scheduleExisting(t *Task) {
-	if t.when < q.now {
-		panic(fmt.Sprintf("event: window task %q scheduled at %d, before now %d", t.label, t.when, q.now))
-	}
-	t.seq = q.seq
-	q.seq++
-	if t.keep {
-		q.keepAlive++
-	}
-	q.place(t)
-	if q.memo != nil && taskLess(t, q.memo) {
-		q.memo = t
-	}
 }
 
 // place inserts a task whose when/seq are already assigned into the right
@@ -385,9 +334,7 @@ func (q *Queue) overRemove(i int) {
 // recycled Task cannot be cancelled out of its next life by an old holder.
 func (q *Queue) Cancel(ref TaskRef) {
 	t := ref.t
-	if t == nil || t.gen != ref.gen || (t.state != stateRing && t.state != stateOverflow) {
-		// Stale, already run, or lane-owned (a window task is cancelled
-		// through its Lane, never through the global queue).
+	if t == nil || t.gen != ref.gen || t.state == stateFree {
 		return
 	}
 	switch t.state {
@@ -496,14 +443,12 @@ func (q *Queue) advanceTo(c Cycle) {
 	}
 }
 
-// popNext removes the earliest pending task from the queue, advancing the
-// clock to its timestamp, and returns it without running or recycling it —
-// the shared removal path of Step and the sharded engine's window drain.
-// Keep-alive is released here (the task is committed to run or be merged).
-func (q *Queue) popNext() *Task {
+// Step dispatches the earliest task, advancing the clock to its timestamp.
+// It reports false when the queue is empty.
+func (q *Queue) Step() bool {
 	t := q.nextLive()
 	if t == nil {
-		return nil
+		return false
 	}
 	q.memo = nil
 	if t.when != q.now {
@@ -523,34 +468,18 @@ func (q *Queue) popNext() *Task {
 	if t.keep {
 		q.keepAlive--
 	}
-	return t
-}
-
-// Step dispatches the earliest task, advancing the clock to its timestamp.
-// It reports false when the queue is empty.
-func (q *Queue) Step() bool {
-	t := q.popNext()
-	if t == nil {
-		return false
-	}
 	q.dispatched++
 	if q.trace != nil {
-		q.traceRecord(t.when, t.label)
+		q.trace[q.tracePos] = DispatchRecord{When: t.when, Label: t.label}
+		q.tracePos = (q.tracePos + 1) % len(q.trace)
+		if q.traceLen < len(q.trace) {
+			q.traceLen++
+		}
 	}
 	fn := t.fn
 	q.recycle(t)
 	fn()
 	return true
-}
-
-// traceRecord appends one entry to the post-mortem dispatch ring. The
-// caller has checked q.trace != nil.
-func (q *Queue) traceRecord(when Cycle, label string) {
-	q.trace[q.tracePos] = DispatchRecord{When: when, Label: label}
-	q.tracePos = (q.tracePos + 1) % len(q.trace)
-	if q.traceLen < len(q.trace) {
-		q.traceLen++
-	}
 }
 
 // RunUntil dispatches tasks in time order until the queue is empty or the

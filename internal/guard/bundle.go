@@ -30,9 +30,6 @@ type RunSpec struct {
 	Requests  int    `json:"requests"`
 	Syncd     uint64 `json:"syncd,omitempty"`
 	Migrate   int    `json:"migrate,omitempty"`
-	// Shards is the backend lane count (host-side performance knob; a
-	// sharded run is byte-identical to serial, so repros may drop it).
-	Shards int `json:"shards,omitempty"`
 	// Faults and Load are the -faults / -load spec strings (empty = none).
 	Faults string `json:"faults,omitempty"`
 	Load   string `json:"load,omitempty"`

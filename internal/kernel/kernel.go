@@ -42,8 +42,6 @@ type Kernel struct {
 	kmemOff  uint32
 	kmemCap  uint32
 	kmemLock simsync.SpinLock //ckpt:skip lock word lives in simulated memory, restored with the kernel space
-
-	Syscalls uint64
 }
 
 // New creates the kernel and carves out an arena of arenaBytes for kernel
@@ -70,7 +68,6 @@ func New(sim *core.Sim, cfg Config, arenaBytes uint32) *Kernel {
 func (k *Kernel) Enter(p *frontend.Proc) {
 	p.PushMode(stats.ModeKernel)
 	p.ComputeCycles(k.cfg.EntryCycles)
-	k.Syscalls++
 }
 
 // Exit ends a system call.

@@ -4,16 +4,15 @@ import "fmt"
 
 // Snapshot is the kernel's serializable state. The arena base/cap and the
 // lock page address are deterministic construction products; only the bump
-// cursor and syscall counter move at run time. Wait queues and semaphore
-// sleep lists are empty at a quiescent checkpoint.
+// cursor moves at run time. Wait queues and semaphore sleep lists are empty
+// at a quiescent checkpoint.
 type Snapshot struct {
-	KmemOff  uint32
-	Syscalls uint64
+	KmemOff uint32
 }
 
-// Snapshot captures the allocator cursor and syscall count.
+// Snapshot captures the allocator cursor.
 func (k *Kernel) Snapshot() Snapshot {
-	return Snapshot{KmemOff: k.kmemOff, Syscalls: k.Syscalls}
+	return Snapshot{KmemOff: k.kmemOff}
 }
 
 // Restore overwrites the kernel's run-time state.
@@ -22,7 +21,6 @@ func (k *Kernel) Restore(s Snapshot) error {
 		return fmt.Errorf("kernel: snapshot kmem offset %d exceeds arena %d", s.KmemOff, k.kmemCap)
 	}
 	k.kmemOff = s.KmemOff
-	k.Syscalls = s.Syscalls
 	return nil
 }
 

@@ -17,14 +17,11 @@
 // (seeded counter-based streams, never wall clock) and checkpoint-safe
 // (snapshot.go captures every draw counter and tally).
 //
-// Each class's arrival process runs on a backend lane (core.Sim.Lane
-// keyed by class index), so a sharded backend thins the client
-// population in parallel: a tick draws the gap and the thinning accept
-// on the lane, and forwards surviving session launches to the home lane
-// one send-latency later — in serial and sharded mode alike, so the
-// schedule is byte-identical at every shard count. Everything that
-// touches shared state (the wire, the in-flight table, the tallies)
-// stays home-side.
+// Start splits the request budget across the classes by base arrival
+// rate, so each class's arrival stream retires on its own share. An
+// arrival tick draws the gap and the thinning accept; a surviving
+// session is charged to the class's share and launched one NIC wire
+// time later, when it reaches the server side.
 package loadgen
 
 import (
@@ -76,12 +73,15 @@ type Generator struct {
 	maxLive int
 }
 
+// launchDelay is how long an accepted arrival takes to reach the server
+// side: one NIC wire time. Session launches and the retirement of a
+// drained arrival stream happen this long after the tick that caused them.
+var launchDelay = dev.DefaultNICConfig().WireCycles
+
 // class is one traffic class's aggregate state: O(1) in the client
-// population. The arrival side (gap draws, thinning, the remaining
-// budget) is owned by the class's lane; the launch side (wire, zipf and
-// think draws, tallies) is owned by the home lane. The two sides meet
-// only through the pending batch ring, whose producer and consumer are
-// ordered by the engine's window barriers.
+// population. The arrival tick (gap draws, thinning, the remaining
+// budget) hands accepted sessions to the launch task (wire, zipf and
+// think draws, tallies) through the pending batch ring.
 type class struct {
 	g       *Generator
 	idx     int
@@ -89,24 +89,21 @@ type class struct {
 	catalog Catalog
 	zipf    zipfTable
 
-	//ckpt:skip wired at construction from the class index
-	lane *event.Lane
-
 	// lambdaMax is the thinning envelope rate: base rate times the
 	// largest multiplier any window combination can reach.
 	lambdaMax float64
 	maxMult   float64
 
-	arrival stream // inter-arrival gaps and thinning accepts (lane side)
-	object  stream // catalog picks (home side)
-	think   stream // intra-session think gaps (home side)
+	arrival stream // inter-arrival gaps and thinning accepts
+	object  stream // catalog picks
+	think   stream // intra-session think gaps
 
 	//ckpt:skip remaining request budget; derived at Start from the
 	// offered tallies (apportion), zero at quiescence
 	left uint64
 
-	// pending is the lane→home session-size ring: the lane appends one
-	// batch size per surviving arrival, the home launch task pops one.
+	// pending is the session-size ring: a tick appends one batch size per
+	// surviving arrival, the launch task pops one.
 	//ckpt:skip empty at quiescence (every forwarded launch was offered)
 	pending []int
 	//ckpt:skip ring read position; reset when the ring drains
@@ -115,8 +112,8 @@ type class struct {
 	offered, completed, failed, badBytes uint64
 	lat                                  stats.Histogram
 
-	// tickFn/launchFn/doneFn are the prebound lane tick, home launch and
-	// home retire tasks, allocated once so the scheduler call sites stay
+	// tickFn/launchFn/doneFn are the prebound arrival tick, launch and
+	// retire tasks, allocated once so the scheduler call sites stay
 	// closure-free (evtclosure hot rule).
 	tickFn   func()
 	launchFn func()
@@ -161,7 +158,6 @@ func New(sim *core.Sim, nic *dev.NIC, cfg Config, catalogs []Catalog, workers, p
 		}
 		cl := &class{
 			g: g, idx: i, cfg: cc, catalog: catalogs[i],
-			lane:    sim.Lane(i),
 			zipf:    newZipfTable(len(catalogs[i]), cc.Zipf),
 			arrival: newStream(cfg.Seed, siteArrival, i),
 			object:  newStream(cfg.Seed, siteObject, i),
@@ -255,8 +251,7 @@ func (g *Generator) Rows() []stats.LoadRow {
 // base arrival rate and schedules the first arrival tick of every class
 // that got a share. Call before Sim.Run (it schedules backend tasks).
 // The shares sum to the remaining budget exactly, so each class retires
-// its own tick stream without ever reading another class's tallies —
-// the property that lets each stream run on its own backend lane.
+// its own tick stream without ever reading another class's tallies.
 func (g *Generator) Start() {
 	offered := g.Offered()
 	if offered >= g.cfg.Requests {
@@ -281,32 +276,32 @@ func (g *Generator) Start() {
 	}
 }
 
-// schedule books the class's next candidate arrival on the class's lane
-// (lane context after the first tick; Start's setup context schedules
-// through the same handle).
+// schedule books the class's next candidate arrival. Arrival times
+// count from the queue clock, so the stream depends only on its own
+// draws, never on how far frontends have run.
 func (cl *class) schedule() {
 	gap := cl.arrival.expCycles(cl.lambdaMax)
-	cl.lane.AfterKeep(event.Cycle(gap), "loadgen-arrival", cl.tickFn)
+	cl.g.sim.ScheduleQueueTask(event.Cycle(gap), "loadgen-arrival", cl.tickFn)
 }
 
-// tick is one candidate arrival (lane context): thin it against the
-// current rate multiplier, forward a session launch if it survives, and
+// tick is one candidate arrival (backend context): thin it against the
+// current rate multiplier, queue a session launch if it survives, and
 // book the next candidate while the class's budget share remains. When
-// the share drains, the class retires its tick stream through a home
-// send, so the generator's drain bookkeeping stays home-side.
+// the share drains, the tick stream retires one launch delay later, so
+// the drain follows the last launch.
 func (cl *class) tick() {
-	now := uint64(cl.lane.Now())
+	now := uint64(cl.g.sim.QueueNow())
 	if cl.arrival.u01()*cl.maxMult < cl.multiplier(now) {
 		cl.launchSession()
 	}
 	if cl.left == 0 {
-		cl.lane.Send(cl.lane.SendLatency(), "loadgen-done", cl.doneFn)
+		cl.g.sim.ScheduleQueueTask(launchDelay, "loadgen-done", cl.doneFn)
 		return
 	}
 	cl.schedule()
 }
 
-// retire retires one class's tick stream (home context, via Send).
+// retire retires one class's tick stream (backend context).
 func (cl *class) retire() {
 	cl.g.liveTicks--
 	cl.g.maybeQuit()
@@ -328,11 +323,10 @@ func (cl *class) multiplier(now uint64) float64 {
 	return m
 }
 
-// launchSession charges a new session against the class's budget share
-// and forwards it to the home lane (lane context): the size goes into
-// the pending ring and a prebound launch task follows one send-latency
-// later. Sends from one lane dispatch in schedule order, so batch sizes
-// pop in the order they were pushed.
+// launchSession charges a new session against the class's budget share:
+// the size goes into the pending ring and a prebound launch task follows
+// one launch delay later. Launches of one class dispatch in schedule
+// order, so batch sizes pop in the order they were pushed.
 func (cl *class) launchSession() {
 	n := uint64(cl.cfg.Burst)
 	if n > cl.left {
@@ -343,10 +337,10 @@ func (cl *class) launchSession() {
 	}
 	cl.left -= n
 	cl.pending = append(cl.pending, int(n))
-	cl.lane.Send(cl.lane.SendLatency(), "loadgen-launch", cl.launchFn)
+	cl.g.sim.ScheduleQueueTask(launchDelay, "loadgen-launch", cl.launchFn)
 }
 
-// launchBatch opens the first request of a forwarded session (home
+// launchBatch opens the first request of a queued session (backend
 // context); the remaining burst requests follow completions with think
 // gaps.
 func (cl *class) launchBatch() {

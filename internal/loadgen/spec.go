@@ -186,8 +186,8 @@ func bad(f float64) bool { return math.IsNaN(f) || math.IsInf(f, 0) }
 // rounding: class i gets round(total·W_i/W) − round(total·W_{i−1}/W)
 // with the running cumulative clamped monotone and the last pinned to
 // total, so the shares always sum to total exactly. Deterministic for a
-// given (total, weights) — it never consults run state — so every shard
-// count, and a resume at any shard count, derives the same split.
+// given (total, weights) — it never consults run state — so a resume
+// derives its split from the restored tallies alone.
 func apportion(total uint64, weights []float64) []uint64 {
 	shares := make([]uint64, len(weights))
 	var wsum float64

@@ -72,10 +72,6 @@ func (m *Machine) Checkpoint() (*Snapshot, error) {
 		return nil, err
 	}
 	s := &Snapshot{Cfg: m.Cfg}
-	// The shard count is a host-side performance knob: a sharded run's
-	// state is byte-identical to serial, so snapshots must be too, and a
-	// restore may pick any shard count it likes.
-	s.Cfg.Shards = 0
 	var err error
 	if s.Sim, err = m.Sim.Snapshot(); err != nil {
 		return nil, err

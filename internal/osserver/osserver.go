@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"compass/internal/dev"
 	"compass/internal/event"
@@ -32,15 +33,14 @@ type Server struct {
 	RTC          *dev.RTC        //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
 	CyclesPerSec uint64          //ckpt:skip configuration constant set at wiring time
 
-	paired     int
-	peakPaired int
-
 	sems map[int]*kernel.Semaphore
 
 	// threads collects every paired OS thread so per-syscall kernel-time
 	// profiles can be merged after the run (each thread's map is touched
-	// only by its own process's goroutine).
-	threads []*OSThread
+	// only by its own process's goroutine). threadsMu guards the slice:
+	// a spawned or forked child connects from its own goroutine.
+	threadsMu sync.Mutex //ckpt:skip host-side lock, no simulation state
+	threads   []*OSThread
 }
 
 // Machine bundles the devices an OS server drives.
@@ -116,11 +116,9 @@ func (s *Server) Connect(p *frontend.Proc) *OSThread {
 	}
 	p.OS = t
 	p.SetFaultHandler(t.handleFault)
-	s.paired++
-	if s.paired > s.peakPaired {
-		s.peakPaired = s.paired
-	}
+	s.threadsMu.Lock()
 	s.threads = append(s.threads, t)
+	s.threadsMu.Unlock()
 	return t
 }
 
@@ -145,6 +143,8 @@ func (t *OSThread) exit(name string, before uint64) {
 func (s *Server) SyscallProfile() (cycles, calls map[string]uint64) {
 	cycles = make(map[string]uint64)
 	calls = make(map[string]uint64)
+	s.threadsMu.Lock()
+	defer s.threadsMu.Unlock()
 	for _, t := range s.threads {
 		for k, v := range t.sysCycles {
 			cycles[k] += v
@@ -200,9 +200,6 @@ func For(p *frontend.Proc) *OSThread {
 	}
 	return t
 }
-
-// Disconnect returns the thread to the "single" state (process exit).
-func (t *OSThread) Disconnect() { t.srv.paired-- }
 
 func (t *OSThread) newFD(f *fd) int {
 	for i, e := range t.fds {

@@ -27,16 +27,14 @@ type SyscallSnap struct {
 // is carried as a baseline so post-restore profiles match uninterrupted
 // runs.
 type Snapshot struct {
-	Paired     int
-	PeakPaired int
-	Sems       []SemSnap
-	Profile    []SyscallSnap
+	Sems    []SemSnap
+	Profile []SyscallSnap
 }
 
-// Snapshot captures pairing counts, semaphores, and the merged profile. It
-// returns an error when a semaphore still has sleepers (not quiescent).
+// Snapshot captures semaphores and the merged profile. It returns an error
+// when a semaphore still has sleepers (not quiescent).
 func (s *Server) Snapshot() (Snapshot, error) {
-	sn := Snapshot{Paired: s.paired, PeakPaired: s.peakPaired}
+	var sn Snapshot
 	//det:ordered sn.Sems is sorted by Key below
 	for key, sem := range s.sems {
 		if sem.QueueWaiters() != 0 {
@@ -58,8 +56,6 @@ func (s *Server) Snapshot() (Snapshot, error) {
 // injected as a synthetic pre-merged thread so SyscallProfile keeps its
 // merge-over-threads shape.
 func (s *Server) Restore(sn Snapshot) {
-	s.paired = sn.Paired
-	s.peakPaired = sn.PeakPaired
 	s.sems = make(map[int]*kernel.Semaphore, len(sn.Sems))
 	for _, ss := range sn.Sems {
 		s.sems[ss.Key] = s.K.NewSemaphore(fmt.Sprintf("sem%d", ss.Key), ss.Count)

@@ -326,8 +326,3 @@ func (s *System) CheckCoherence(pa mem.PhysAddr) error {
 	}
 	return nil
 }
-
-// Lookahead implements memsys.Lookaheader: the fastest cross-CPU
-// interaction on a snooping bus is one bus transaction — every coherence
-// action (invalidation, intervention) rides at least one.
-func (s *System) Lookahead() event.Cycle { return s.cfg.BusCycles }

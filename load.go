@@ -216,7 +216,7 @@ func RunLoadHTTPDWithOptions(cfg Config, warm, measured LoadConfig, workers int,
 	if opts.ResumeFrom != "" {
 		var sections map[string][]byte
 		var err error
-		m, sections, err = restoreCheckpointFile(opts.ResumeFrom, cfg.Shards)
+		m, sections, err = restoreCheckpointFile(opts.ResumeFrom)
 		if err != nil {
 			return Result{}, err
 		}

@@ -240,8 +240,8 @@ func TestLoadARQGiveUpExhaustion(t *testing.T) {
 	// session is in flight: the 2M-cycle down window then covers every
 	// remaining session open (clean client-side give-ups, the server never
 	// accepts) and the re-armed quit handshake lands after the window.
-	// (The seed was re-tuned when session launches moved to the lane→home
-	// forward path, which shifts every open by one send latency.)
+	// (The seed was re-tuned when session launches started one NIC wire
+	// time after their arrival tick, which shifts every open by that much.)
 	fc, err := ParseFaultSpec("seed=1,net.flap=0.02,net.flapdown=2000000,net.timeout=50000,net.retries=1")
 	if err != nil {
 		t.Fatal(err)

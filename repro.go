@@ -50,7 +50,6 @@ func SpecConfig(spec RunSpec) (Config, error) {
 	}
 	cfg.Preemptive = spec.Preempt
 	cfg.RTC = spec.RTC
-	cfg.Shards = spec.Shards
 	cfg.SyncdInterval = spec.Syncd
 	cfg.MigrateThreshold = spec.Migrate
 	if spec.Faults != "" {
