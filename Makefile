@@ -28,6 +28,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzParseSpec -fuzztime 10s -timeout 10m ./internal/fault
 	$(GO) test -fuzz FuzzReadInfo -fuzztime 10s -timeout 10m ./internal/checkpoint
 	$(GO) test -fuzz FuzzParseSpec -fuzztime 10s -timeout 10m ./internal/loadgen
+	$(GO) test -run FuzzParseChaosSpec -fuzz FuzzParseChaosSpec -fuzztime 10s -timeout 10m .
 
 # End-to-end failure containment through the CLI: injected panic,
 # quarantine table, bundle replay via -repro, induced deadlock.

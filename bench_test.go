@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"testing"
 
-	"compass/internal/apps/tpcc"
 	"compass/internal/checkpoint"
 	"compass/internal/frontend"
 	"compass/internal/machine"
@@ -84,7 +83,7 @@ func benchSlowdown(b *testing.B, hostProcs int, arch Arch, instrument bool) {
 	const rows = 8192
 	var wallRatio float64
 	isRaw := arch == ArchFixed && !instrument
-	WithGOMAXPROCS(hostProcs, func() {
+	withGOMAXPROCS(hostProcs, func() {
 		rawWall, _ := slowdownWorkload(ArchFixed, 4, 4, rows, false)
 		for i := 0; i < b.N; i++ {
 			w, _ := slowdownWorkload(arch, 4, 4, rows, instrument)
@@ -338,8 +337,9 @@ func warmedTPCCMachine(b *testing.B) *machine.Machine {
 	w.Agents = 2
 	w.TxPerAgent = 4
 	m := machine.New(cfg)
-	wl := tpcc.Setup(m.FS, w)
-	spawnTPCCAgents(m, wl, 0, w.Agents)
+	if _, err := tpccJob([]TPCCConfig{w}).spawn(m, 0); err != nil {
+		b.Fatal(err)
+	}
 	m.Sim.Run()
 	return m
 }

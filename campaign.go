@@ -38,9 +38,8 @@ type CampaignResult struct {
 	Workers int
 	// Wall is the host time for the whole campaign.
 	Wall time.Duration
-	// Failed lists the points that produced no result — contained panics
-	// in a plain campaign, quarantined seeds in a guarded one. Ordered by
-	// seed index, like Points.
+	// Failed lists the points that produced no result: quarantined seeds
+	// and runner errors. Ordered by seed index, like Points.
 	Failed []CampaignFailure
 }
 
@@ -59,7 +58,8 @@ type CampaignFailure struct {
 	Bundle string
 }
 
-// failureFrom classifies a campaign job error into a table row.
+// failureFrom turns a failed point's error (a quarantine, or the runner's
+// own error) into a table row.
 func failureFrom(seed uint64, err error) CampaignFailure {
 	f := CampaignFailure{Seed: seed, Attempts: 1, Kind: guard.KindPanic, Reason: err.Error()}
 	var q *guard.QuarantineError
@@ -68,18 +68,6 @@ func failureFrom(seed uint64, err error) CampaignFailure {
 		f.Kind = q.Last.Kind
 		f.Reason = q.Last.Reason
 		f.Bundle = q.Last.Bundle
-		return f
-	}
-	var a *guard.Abort
-	if errors.As(err, &a) {
-		f.Kind = a.Kind
-		f.Reason = a.Reason
-		f.Bundle = a.Bundle
-		return f
-	}
-	var j *expt.JobError
-	if errors.As(err, &j) {
-		f.Reason = fmt.Sprint(j.Value)
 	}
 	return f
 }
@@ -134,51 +122,20 @@ func (c CampaignResult) String() string {
 // aggregate counters are merged in that order, so a campaign's tables
 // are bit-identical whether it ran on one worker or many.
 //
+// Every point runs in its own guard session (watchdog, panic
+// containment, crash-repro bundles under gcfg.BundleDir/<label>-attempt<N>),
+// and a failed point retries up to gcfg.Retries times — with host-side
+// exponential backoff, resuming from its latest auto-checkpoint when the
+// runner supports it — before landing in the quarantine table. A zero
+// gcfg sets no watchdog, retries or bundles: it contains panics, and a
+// failed point is quarantined after one attempt. Supervision never
+// changes a result, so points that never trip are byte-identical to
+// unsupervised runs.
+//
 // The run callback must be a pure function of its Config (all Run*
 // workload entry points qualify): it must not read or write state shared
 // with other invocations.
-func RunSeedCampaign(cfg Config, seeds []uint64, run func(Config) Result, opts ExptOptions) CampaignResult {
-	jobs := make([]expt.Job[Result], len(seeds))
-	for i, seed := range seeds {
-		scfg := cfg
-		scfg.Faults.Seed = seed
-		jobs[i] = expt.Job[Result]{
-			Name: fmt.Sprintf("seed%d", seed),
-			Run:  func() (Result, error) { return run(scfg), nil },
-		}
-	}
-	start := time.Now()
-	rs := expt.Run(expt.Config{Workers: opts.Workers, Progress: opts.Progress}, jobs)
-
-	out := CampaignResult{
-		Points:    make([]CampaignPoint, 0, len(seeds)),
-		Aggregate: &stats.Counters{},
-		Workers:   expt.Workers(opts.Workers, len(seeds)),
-		Wall:      time.Since(start),
-	}
-	// Deterministic aggregation: merge in seed-index order, never
-	// completion order. A point whose job panicked (expt contains it)
-	// yields a failure row instead of poisoning the aggregate.
-	for i, r := range rs {
-		if r.Err != nil {
-			out.Failed = append(out.Failed, failureFrom(seeds[i], r.Err))
-			continue
-		}
-		out.Points = append(out.Points, CampaignPoint{Seed: seeds[i], Res: r.Value})
-		out.Cycles += r.Value.Cycles
-		out.Aggregate.Add(r.Value.Counters)
-	}
-	return out
-}
-
-// RunSeedCampaignGuarded is RunSeedCampaign under full supervision: every
-// point runs in its own guard session (watchdog, panic containment,
-// crash-repro bundles under gcfg.BundleDir/<label>-attempt<N>), and a
-// failed point retries up to gcfg.Retries times — with host-side
-// exponential backoff, resuming from its latest auto-checkpoint when the
-// runner supports it — before landing in the quarantine table. Points
-// that never trip produce results byte-identical to RunSeedCampaign's.
-func RunSeedCampaignGuarded(cfg Config, seeds []uint64, gcfg guard.Config, run GuardedRunner, opts ExptOptions) CampaignResult {
+func RunSeedCampaign(cfg Config, seeds []uint64, gcfg guard.Config, run GuardedRunner, opts ExptOptions) CampaignResult {
 	jobs := make([]expt.Job[Result], len(seeds))
 	for i, seed := range seeds {
 		scfg := cfg
@@ -200,6 +157,9 @@ func RunSeedCampaignGuarded(cfg Config, seeds []uint64, gcfg guard.Config, run G
 		Workers:   expt.Workers(opts.Workers, len(seeds)),
 		Wall:      time.Since(start),
 	}
+	// Deterministic aggregation: merge in seed-index order, never
+	// completion order. A failed point yields a failure row instead of
+	// poisoning the aggregate.
 	for i, r := range rs {
 		if r.Err != nil {
 			out.Failed = append(out.Failed, failureFrom(seeds[i], r.Err))

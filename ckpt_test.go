@@ -53,16 +53,17 @@ func TestCheckpointResumeDeterministicTPCC(t *testing.T) {
 	cfg.CPUs = 2
 	path := filepath.Join(t.TempDir(), "tpcc.ckpt")
 
-	ref, err := RunTPCCWithOptions(cfg, warm, measured, RunOptions{WarmupCheckpoint: path})
+	ref, err := RunPhased(cfg, []TPCCConfig{warm, measured}, 0, 0, Checkpoints{Save: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunTPCCWithOptions(cfg, warm, measured, RunOptions{ResumeFrom: path})
+	got, err := RunPhased(cfg, []TPCCConfig{warm, measured}, 0, 0, Checkpoints{Resume: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, ref, got)
-	if ref.Extra["transactions"] != float64(measured.Agents*measured.TxPerAgent) {
+	// Like the cycles and the profile, the count covers both phases.
+	if ref.Extra["transactions"] != float64(warm.Agents*warm.TxPerAgent+measured.Agents*measured.TxPerAgent) {
 		t.Errorf("transactions = %f", ref.Extra["transactions"])
 	}
 }
@@ -79,11 +80,11 @@ func TestCheckpointResumeDeterministicSPECWeb(t *testing.T) {
 	cfg.CPUs = 2
 	path := filepath.Join(t.TempDir(), "web.ckpt")
 
-	ref, err := RunSPECWebWithOptions(cfg, warm, measured, 2, 4, RunOptions{WarmupCheckpoint: path})
+	ref, err := RunPhased(cfg, []SPECWebConfig{warm, measured}, 2, 4, Checkpoints{Save: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSPECWebWithOptions(cfg, warm, measured, 2, 4, RunOptions{ResumeFrom: path})
+	got, err := RunPhased(cfg, []SPECWebConfig{warm, measured}, 2, 4, Checkpoints{Resume: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestCheckpointReadInfo(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CPUs = 2
 	path := filepath.Join(t.TempDir(), "tpcc.ckpt")
-	if _, err := RunTPCCWithOptions(cfg, warm, measured, RunOptions{WarmupCheckpoint: path}); err != nil {
+	if _, err := RunPhased(cfg, []TPCCConfig{warm, measured}, 0, 0, Checkpoints{Save: path}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -138,7 +139,7 @@ func TestCheckpointReadInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("format version 1, want %d", checkpoint.Version)
-	if _, err := RunTPCCWithOptions(cfg, warm, measured, RunOptions{ResumeFrom: old}); err == nil || !strings.Contains(err.Error(), want) {
+	if _, err := RunPhased(cfg, []TPCCConfig{warm, measured}, 0, 0, Checkpoints{Resume: old}); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("resume of a version-1 file: err = %v, want %q", err, want)
 	}
 }
@@ -187,7 +188,7 @@ func TestWarmBatchSweepSkipsWarmup(t *testing.T) {
 	batches := []int{1, 8, 64}
 	const warmStores, stores = 400, 300
 
-	points, warmEnd, err := RunBatchSweepWarm(cfg, batches, warmStores, stores)
+	points, _, warmEnd, err := RunBatchSweepWarm(cfg, batches, warmStores, stores, GuardConfig{}, ExptOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,5 +209,93 @@ func TestWarmBatchSweepSkipsWarmup(t *testing.T) {
 	}
 	if warmTotal >= coldTotal {
 		t.Errorf("warm sweep simulated %d cycles, cold baseline %d", warmTotal, coldTotal)
+	}
+}
+
+// Resume checks the snapshot against the caller's config: a warm file
+// written for one machine must not silently run under another's name.
+// The error names both hashes.
+func TestCheckpointResumeRejectsConfigMismatch(t *testing.T) {
+	warm, measured := tpccPhases()
+	cfg := DefaultConfig()
+	cfg.CPUs = 2
+	path := filepath.Join(t.TempDir(), "tpcc.ckpt")
+	if _, err := RunPhased(cfg, []TPCCConfig{warm, measured}, 0, 0, Checkpoints{Save: path}); err != nil {
+		t.Fatal(err)
+	}
+	other := cfg
+	other.Arch = ArchCCNUMA
+	other.CPUs = 4
+	_, err := RunPhased(other, []TPCCConfig{warm, measured}, 0, 0, Checkpoints{Resume: path})
+	saved, want := checkpoint.ConfigHash(cfg), checkpoint.ConfigHash(other)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%x", saved[:8])) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("%x", want[:8])) {
+		t.Fatalf("resume under another config: err = %v, want a mismatch naming %x and %x", err, saved[:8], want[:8])
+	}
+}
+
+// A restored machine re-runs the caller's Observe hook, as a fresh one
+// does, so a resumed run under RunGuarded keeps its watchdog.
+func TestCheckpointResumeCallsObserve(t *testing.T) {
+	warm, measured := tpccPhases()
+	cfg := DefaultConfig()
+	cfg.CPUs = 2
+	path := filepath.Join(t.TempDir(), "tpcc.ckpt")
+	if _, err := RunPhased(cfg, []TPCCConfig{warm, measured}, 0, 0, Checkpoints{Save: path}); err != nil {
+		t.Fatal(err)
+	}
+	var seen []*machine.Machine
+	cfg.Observe = func(m *machine.Machine) { seen = append(seen, m) }
+	if _, err := RunPhased(cfg, []TPCCConfig{warm, measured}, 0, 0, Checkpoints{Resume: path}); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 1 || seen[0] == nil {
+		t.Fatalf("Observe ran %d times on resume, want once on the restored machine", len(seen))
+	}
+}
+
+// A warm-start file holds the state after the first phase, so resuming it
+// into a one-phase run has nothing left to run: an error, not a Result
+// read from phases that never ran.
+func TestCheckpointResumeNeedsLaterPhase(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CPUs = 2
+	warm := DefaultSPECWeb()
+	warm.Requests = 20
+	path := filepath.Join(t.TempDir(), "web.ckpt")
+	if _, err := RunPhased(cfg, []SPECWebConfig{warm, warm}, 2, 4, Checkpoints{Save: path}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := RunPhased(cfg, []SPECWebConfig{warm}, 2, 4, Checkpoints{Resume: path})
+	if err == nil || !strings.Contains(err.Error(), "leaves none of the run's 1 phases") {
+		t.Fatalf("err = %v, want the no-phase-left error", err)
+	}
+}
+
+// Nodes 0 means one node to machine.New, so a config that leaves it zero
+// resumes its own snapshot — the resume hash check compares canonical
+// configs, and auto-resume finds the file.
+func TestCheckpointResumeZeroNodes(t *testing.T) {
+	warm, measured := tpccPhases()
+	cfg := DefaultConfig()
+	cfg.CPUs = 2
+	cfg.Nodes = 0
+	path := filepath.Join(t.TempDir(), "tpcc.ckpt")
+	ref, err := RunPhased(cfg, []TPCCConfig{warm, measured}, 0, 0, Checkpoints{Save: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunPhased(cfg, []TPCCConfig{warm, measured}, 0, 0, Checkpoints{Resume: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, ref, got)
+
+	dir := t.TempDir()
+	if _, err := RunPhased(cfg, tpccSegments(measured, 2), 0, 0, Checkpoints{Dir: dir, Interval: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if latestAutoCkpt(dir, cfg) == "" {
+		t.Fatal("auto-resume found no checkpoint written for the run's own config")
 	}
 }

@@ -1,13 +1,15 @@
 // Command compassckpt creates, inspects, and resumes warm-start machine
 // snapshots. A snapshot captures a quiescent machine after a workload's
 // warm phase; resuming it runs only the measured phase and produces
-// bit-identical stats to the uninterrupted two-phase run.
+// bit-identical stats to the uninterrupted two-phase run. -resume needs
+// the machine flags (-cpus, -arch) -create was given: a snapshot of
+// another machine is rejected with both config hashes.
 //
 // Usage:
 //
 //	compassckpt -create warm.ckpt -workload tpcc -cpus 4
 //	compassckpt -info warm.ckpt
-//	compassckpt -resume warm.ckpt -workload tpcc -tx 30
+//	compassckpt -resume warm.ckpt -workload tpcc -cpus 4 -tx 30
 package main
 
 import (
@@ -44,29 +46,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := compass.DefaultConfig()
-	cfg.CPUs = *cpus
-	switch *arch {
-	case "fixed":
-		cfg.Arch = compass.ArchFixed
-	case "simple":
-		cfg.Arch = compass.ArchSimple
-	case "smp":
-		cfg.Arch = compass.ArchSMP
-	case "ccnuma":
-		cfg.Arch = compass.ArchCCNUMA
-	case "coma":
-		cfg.Arch = compass.ArchCOMA
-	default:
-		fmt.Fprintf(os.Stderr, "unknown arch %q\n", *arch)
+	cfg, err := compass.SpecConfig(compass.RunSpec{Workload: *workload, CPUs: *cpus, Arch: *arch, RTC: true})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	opts := compass.RunOptions{WarmupCheckpoint: *create, ResumeFrom: *resume}
-	var (
-		res compass.Result
-		err error
-	)
+	ck := compass.Checkpoints{Save: *create, Resume: *resume}
+	var res compass.Result
 	switch *workload {
 	case "tpcc":
 		warm := compass.DefaultTPCC()
@@ -75,14 +62,14 @@ func main() {
 		measured := warm
 		measured.TxPerAgent = *tx
 		measured.Seed = warm.Seed + 1
-		res, err = compass.RunTPCCWithOptions(cfg, warm, measured, opts)
+		res, err = compass.RunPhased(cfg, []compass.TPCCConfig{warm, measured}, 0, 0, ck)
 	case "specweb":
 		warm := compass.DefaultSPECWeb()
 		warm.Requests = *warmReq
 		measured := warm
 		measured.Requests = *requests
 		measured.Seed = warm.Seed + 1
-		res, err = compass.RunSPECWebWithOptions(cfg, warm, measured, *agents, *agents, opts)
+		res, err = compass.RunPhased(cfg, []compass.SPECWebConfig{warm, measured}, *agents, *agents, ck)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
 		os.Exit(2)

@@ -201,17 +201,11 @@ func main() {
 	}
 
 	if *seeds > 0 {
-		runner, err := compass.SpecRunner(spec)
+		camp, err := compass.RunSpecCampaign(spec, compass.CampaignSeeds(cfg.Faults.Seed, *seeds), gcfg, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		if err := compass.SpecChaos(spec, &cfg, &gcfg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		gcfg.Spec = spec
-		camp := compass.RunSeedCampaignGuarded(cfg, compass.CampaignSeeds(cfg.Faults.Seed, *seeds), gcfg, runner, opts)
 		if *progress {
 			fmt.Fprintln(os.Stderr)
 		}

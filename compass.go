@@ -18,9 +18,10 @@
 package compass
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"compass/internal/apps/db"
@@ -137,50 +138,97 @@ func (r Result) String() string {
 // for a fault-free run.
 func (r Result) FaultTable() string { return stats.FormatFaultTable(r.Counters) }
 
-func finish(name string, m *machine.Machine, end uint64, wall time.Duration) Result {
-	total := m.Sim.TotalAccount()
-	res := Result{
-		Name:     name,
-		Cycles:   end,
-		Profile:  stats.ProfileOf(name, &total),
-		Counters: m.Sim.Counters(),
-		Wall:     wall,
-		Extra:    map[string]float64{},
-		Syscalls: m.OS.FormatSyscallProfile(8),
-	}
-	m.FaultCounters(res.Counters)
-	return res
-}
-
-// enableClientARQ arms the trace player's link-level retransmission when
-// the machine injects network faults — the external client needs the
-// same recovery discipline as the host stack.
-func enableClientARQ(player *trace.Player, cfg Config) {
+// enableARQ arms an external client's (trace player's or load
+// generator's) link-level retransmission when the machine injects network
+// faults — the client needs the same recovery discipline as the host stack.
+func enableARQ(client interface{ EnableARQ(fault.NetConfig) }, cfg Config) {
 	fc := cfg.Faults
 	fc.ApplyDefaults()
 	if fc.NetEnabled() {
-		player.EnableARQ(fc.Net)
+		client.EnableARQ(fc.Net)
+	}
+}
+
+// addPlayerStats records a trace player's completed requests, mean
+// latency and, under network faults, its client-side give-ups.
+func addPlayerStats(res *Result, player *trace.Player) {
+	res.Extra["requests"] = float64(player.Completed)
+	res.Extra["latency.mean"] = player.Latency.Mean()
+	if player.ARQ() != nil {
+		res.Extra["client.failures"] = float64(player.ClientFailures)
 	}
 }
 
 // RunTPCC runs the OLTP workload to completion.
 func RunTPCC(cfg Config, w TPCCConfig) Result {
-	m := machine.New(cfg)
-	wl := tpcc.Setup(m.FS, w)
-	for i := 0; i < w.Agents; i++ {
-		i := i
-		m.SpawnConnected(fmt.Sprintf("agent%d", i), func(p *frontend.Proc) {
-			wl.Agent(p, i)
-		})
+	return mustRun(drive(cfg, tpccJob([]TPCCConfig{w}), Checkpoints{}))
+}
+
+// tpccJob runs TPC-C phases on one database.
+func tpccJob(phases []TPCCConfig) *job {
+	var (
+		wl   *tpcc.Workload // bound to the machine's current state
+		base int            // next agent index: names and RNG streams continue across phases
+	)
+	return &job{
+		name:   "TPCC/db",
+		phases: len(phases),
+		spawn: func(m *machine.Machine, k int) (bool, error) {
+			w := phases[k]
+			if k == 0 {
+				wl = tpcc.Setup(m.FS, w)
+			}
+			if w.TxPerAgent == 0 {
+				return false, nil
+			}
+			next, err := wl.WithConfig(w)
+			if err != nil {
+				return false, err
+			}
+			wl = next
+			for i := 0; i < w.Agents; i++ {
+				idx := base + i
+				m.SpawnConnected(fmt.Sprintf("agent%d", idx), func(p *frontend.Proc) {
+					next.Agent(p, idx)
+				})
+			}
+			base += w.Agents
+			return true, nil
+		},
+		section: "tpcc",
+		attach: func(state []byte) (err error) {
+			wl, base, err = tpcc.AttachRestore(state)
+			return err
+		},
+		save: func() ([]byte, error) { return wl.SaveState(base) },
+		extra: func(res *Result) {
+			var tx int
+			for _, w := range phases {
+				tx += w.Agents * w.TxPerAgent
+			}
+			res.Extra["transactions"] = float64(tx)
+			hits, misses := db.Stats(wl.Cat)
+			res.Extra["pool.hits"] = float64(hits)
+			res.Extra["pool.misses"] = float64(misses)
+		},
 	}
-	start := time.Now()
-	end := m.Sim.Run()
-	res := finish("TPCC/db", m, uint64(end), time.Since(start))
-	res.Extra["transactions"] = float64(w.Agents * w.TxPerAgent)
-	hits, misses := db.Stats(wl.Cat)
-	res.Extra["pool.hits"] = float64(hits)
-	res.Extra["pool.misses"] = float64(misses)
-	return res
+}
+
+// tpccSegments splits w's transaction budget into n equal slices, the
+// phases of an auto-checkpointed run. The schedule is a pure function of
+// (w, n), so an uninterrupted run and one resumed from any of its own
+// checkpoints execute identical work. Slices may be empty when n exceeds
+// w.TxPerAgent; they still count as phase boundaries.
+func tpccSegments(w TPCCConfig, n int) []TPCCConfig {
+	if n < 1 {
+		n = 1
+	}
+	segs := make([]TPCCConfig, n)
+	for k := range segs {
+		segs[k] = w
+		segs[k].TxPerAgent = w.TxPerAgent*(k+1)/n - w.TxPerAgent*k/n
+	}
+	return segs
 }
 
 // TPCDQuery selects which decision-support queries a run executes.
@@ -204,104 +252,131 @@ func RunTPCD(cfg Config, w TPCDConfig) Result {
 // RunTPCDQueries runs a chosen query mix; instrument=false runs with the
 // simulation switch off (the paper's "raw" execution for Table 2).
 func RunTPCDQueries(cfg Config, w TPCDConfig, q TPCDQuery, instrument bool) Result {
-	m := machine.New(cfg)
-	wl := tpcd.Setup(m.FS, w)
-	pages := wl.LineitemPages()
-	for i := 0; i < w.Agents; i++ {
-		i := i
-		m.SpawnConnected(fmt.Sprintf("agent%d", i), func(p *frontend.Proc) {
-			if !instrument {
-				p.SetInstrumentation(false)
-			}
-			a := db.NewAgent(p, wl.Cat)
-			first, last := pages*i/w.Agents, pages*(i+1)/w.Agents
-			switch q {
-			case QueryScanAgg:
-				wl.Q1(p, a, first, last, 1500)
-				wl.Q6(p, a, first, last, 100, 1800, 5, 30)
-			case QueryJoin:
-				wl.Q3Join(p, a, w.Orders*i/w.Agents, w.Orders*(i+1)/w.Agents, 2)
-			case QueryMmap:
-				if _, err := wl.QMmapScan(p, 1500); err != nil {
-					panic(err)
-				}
-			}
-			a.Close()
-		})
-	}
-	start := time.Now()
-	end := m.Sim.Run()
 	name := "TPCD/db"
 	if !instrument {
 		name = "TPCD/raw"
 	}
-	res := finish(name, m, uint64(end), time.Since(start))
+	res := runOnce(cfg, name, func(m *machine.Machine) {
+		wl := tpcd.Setup(m.FS, w)
+		pages := wl.LineitemPages()
+		for i := 0; i < w.Agents; i++ {
+			i := i
+			m.SpawnConnected(fmt.Sprintf("agent%d", i), func(p *frontend.Proc) {
+				if !instrument {
+					p.SetInstrumentation(false)
+				}
+				a := db.NewAgent(p, wl.Cat)
+				first, last := pages*i/w.Agents, pages*(i+1)/w.Agents
+				switch q {
+				case QueryScanAgg:
+					wl.Q1(p, a, first, last, 1500)
+					wl.Q6(p, a, first, last, 100, 1800, 5, 30)
+				case QueryJoin:
+					wl.Q3Join(p, a, w.Orders*i/w.Agents, w.Orders*(i+1)/w.Agents, 2)
+				case QueryMmap:
+					if _, err := wl.QMmapScan(p, 1500); err != nil {
+						panic(err)
+					}
+				}
+				a.Close()
+			})
+		}
+	})
 	res.Extra["rows"] = float64(w.Rows)
 	return res
 }
 
 // RunSPECWeb runs the web server under the trace player.
 func RunSPECWeb(cfg Config, w SPECWebConfig, workers, concurrency int) Result {
-	m := machine.New(cfg)
-	specweb.GenerateFileset(m.FS, w)
-	reqs := specweb.GenerateTrace(w)
+	return mustRun(drive(cfg, specwebJob([]SPECWebConfig{w}, workers, concurrency), Checkpoints{}))
+}
+
+// specwebMeta is the SPECWeb checkpoint section: the next worker index, so
+// resumed spawns continue the uninterrupted run's process-naming sequence.
+type specwebMeta struct {
+	WorkerBase int
+}
+
+// specwebJob replays one SPECWeb trace per phase against one fileset.
+func specwebJob(phases []SPECWebConfig, workers, concurrency int) *job {
 	hcfg := httpd.DefaultConfig()
 	hcfg.Workers = workers
-	m.FS.SetupCreate(hcfg.LogFile, nil)
-	st := make([]httpd.Stats, workers)
-	for i := 0; i < workers; i++ {
+	var (
+		base   int
+		st     []httpd.Stats
+		player *trace.Player
+	)
+	return &job{
+		name:   "SPECWeb/httpd",
+		phases: len(phases),
+		spawn: func(m *machine.Machine, k int) (bool, error) {
+			if k == 0 {
+				specweb.GenerateFileset(m.FS, phases[0])
+				m.FS.SetupCreate(hcfg.LogFile, nil)
+			}
+			st = make([]httpd.Stats, workers)
+			spawnHTTPDWorkers(m, hcfg, st, base)
+			base += workers
+			player = trace.NewPlayer(m.Sim, m.NIC, specweb.GenerateTrace(phases[k]), trace.PlayerConfig{
+				Concurrency: concurrency,
+				ThinkCycles: 20_000,
+				Workers:     workers,
+				Port:        hcfg.Port,
+			})
+			enableARQ(player, m.Cfg)
+			player.Start()
+			return true, nil
+		},
+		section: "specweb",
+		attach: func(state []byte) error {
+			var meta specwebMeta
+			err := gob.NewDecoder(bytes.NewReader(state)).Decode(&meta)
+			base = meta.WorkerBase
+			return err
+		},
+		save: func() ([]byte, error) {
+			var buf bytes.Buffer
+			err := gob.NewEncoder(&buf).Encode(specwebMeta{WorkerBase: base})
+			return buf.Bytes(), err
+		},
+		extra: func(res *Result) {
+			addPlayerStats(res, player)
+			addHTTPDStats(res, st)
+		},
+	}
+}
+
+func spawnHTTPDWorkers(m *machine.Machine, hcfg httpd.Config, st []httpd.Stats, base int) {
+	for i := range st {
 		i := i
-		m.SpawnConnected(fmt.Sprintf("httpd%d", i), func(p *frontend.Proc) {
+		m.SpawnConnected(fmt.Sprintf("httpd%d", base+i), func(p *frontend.Proc) {
 			httpd.Worker(p, hcfg, &st[i])
 		})
 	}
-	player := trace.NewPlayer(m.Sim, m.NIC, reqs, trace.PlayerConfig{
-		Concurrency: concurrency,
-		ThinkCycles: 20_000,
-		Workers:     workers,
-		Port:        hcfg.Port,
-	})
-	enableClientARQ(player, cfg)
-	player.Start()
-	start := time.Now()
-	end := m.Sim.Run()
-	res := finish("SPECWeb/httpd", m, uint64(end), time.Since(start))
-	res.Extra["requests"] = float64(player.Completed)
-	res.Extra["latency.mean"] = player.Latency.Mean()
-	if player.ARQ() != nil {
-		res.Extra["client.failures"] = float64(player.ClientFailures)
-	}
-	var served, bytes uint64
+}
+
+// addHTTPDStats records the server processes' served and byte tallies.
+func addHTTPDStats(res *Result, st []httpd.Stats) {
+	var served, sent uint64
 	for _, s := range st {
 		served += s.Served
-		bytes += s.BytesSent
+		sent += s.BytesSent
 	}
 	res.Extra["served"] = float64(served)
-	res.Extra["bytes"] = float64(bytes)
-	return res
+	res.Extra["bytes"] = float64(sent)
 }
 
 // RunSOR runs the scientific grid solver (the OS-light contrast workload).
 func RunSOR(cfg Config, w SORConfig) Result {
-	m := machine.New(cfg)
 	s := splash.NewSOR(w)
-	for i := 0; i < w.Procs; i++ {
-		i := i
-		m.SpawnConnected(fmt.Sprintf("sor%d", i), func(p *frontend.Proc) {
-			s.Worker(p, i)
-		})
-	}
-	start := time.Now()
-	end := m.Sim.Run()
-	return finish("SOR/splash", m, uint64(end), time.Since(start))
-}
-
-// WithGOMAXPROCS runs fn with the host parallelism temporarily pinned —
-// the Table 2 (uniprocessor host) vs Table 3 (4-way SMP host) experiment.
-func WithGOMAXPROCS(n int, fn func()) {
-	old := runtime.GOMAXPROCS(n)
-	defer runtime.GOMAXPROCS(old)
-	fn()
+	return runOnce(cfg, "SOR/splash", func(m *machine.Machine) {
+		for i := 0; i < w.Procs; i++ {
+			i := i
+			m.SpawnConnected(fmt.Sprintf("sor%d", i), func(p *frontend.Proc) {
+				s.Worker(p, i)
+			})
+		}
+	})
 }
 
 // Tier3Config scales the three-tier dynamic-content stack.
@@ -314,9 +389,34 @@ func DefaultTier3() Tier3Config { return tier3.DefaultConfig() }
 // pre-forked web workers, which query a database tier over loopback
 // connections (the full commercial-server composition of §1).
 func RunTier3(cfg Config, w Tier3Config, requests int) Result {
-	m := machine.New(cfg)
-	wl := tier3.Setup(m.FS, w)
 	st := make([]tier3.Stats, w.WebWorkers)
+	var player *trace.Player
+	res := runOnce(cfg, "tier3", func(m *machine.Machine) {
+		wl := tier3.Setup(m.FS, w)
+		spawnTier3(m, w, wl, st)
+		rng := rand.New(rand.NewSource(424242))
+		reqs := make(trace.Trace, requests)
+		for i := range reqs {
+			key := rng.Intn(w.Rows)
+			body := fmt.Sprintf("<html>key %d -> VAL %d</html>", key, wl.OracleValue(key))
+			reqs[i] = trace.Request{Path: fmt.Sprintf("/dyn/%d", key), Size: len(body)}
+		}
+		player = trace.NewPlayer(m.Sim, m.NIC, reqs, trace.PlayerConfig{
+			Concurrency: w.WebWorkers,
+			ThinkCycles: 30_000,
+			Workers:     w.WebWorkers,
+			Port:        w.WebPort,
+		})
+		enableARQ(player, cfg)
+		player.Start()
+	})
+	addPlayerStats(&res, player)
+	addTier3Stats(&res, st)
+	return res
+}
+
+// spawnTier3 starts the database tier and the web tier.
+func spawnTier3(m *machine.Machine, w Tier3Config, wl *tier3.Workload, st []tier3.Stats) {
 	for i := 0; i < w.DBWorkers; i++ {
 		m.SpawnConnected(fmt.Sprintf("db%d", i), func(p *frontend.Proc) {
 			wl.DBWorker(p)
@@ -328,33 +428,13 @@ func RunTier3(cfg Config, w Tier3Config, requests int) Result {
 			wl.WebWorker(p, &st[i])
 		})
 	}
-	rng := rand.New(rand.NewSource(424242))
-	reqs := make(trace.Trace, requests)
-	for i := range reqs {
-		key := rng.Intn(w.Rows)
-		body := fmt.Sprintf("<html>key %d -> VAL %d</html>", key, wl.OracleValue(key))
-		reqs[i] = trace.Request{Path: fmt.Sprintf("/dyn/%d", key), Size: len(body)}
-	}
-	player := trace.NewPlayer(m.Sim, m.NIC, reqs, trace.PlayerConfig{
-		Concurrency: w.WebWorkers,
-		ThinkCycles: 30_000,
-		Workers:     w.WebWorkers,
-		Port:        w.WebPort,
-	})
-	enableClientARQ(player, cfg)
-	player.Start()
-	start := time.Now()
-	end := m.Sim.Run()
-	res := finish("tier3", m, uint64(end), time.Since(start))
-	res.Extra["requests"] = float64(player.Completed)
-	res.Extra["latency.mean"] = player.Latency.Mean()
-	if player.ARQ() != nil {
-		res.Extra["client.failures"] = float64(player.ClientFailures)
-	}
+}
+
+// addTier3Stats records the web tier's validated-response count.
+func addTier3Stats(res *Result, st []tier3.Stats) {
 	var ok uint64
 	for _, s := range st {
 		ok += s.OK
 	}
 	res.Extra["ok"] = float64(ok)
-	return res
 }

@@ -52,7 +52,7 @@ func TestDeterminismTPCCSerialSerialParallel(t *testing.T) {
 
 	// A 1-seed campaign on a multi-worker pool routes the identical run
 	// through the engine's worker goroutines.
-	camp := RunSeedCampaign(cfg, []uint64{cfg.Faults.Seed}, runner, ExptOptions{Workers: 2})
+	camp := RunSeedCampaign(cfg, []uint64{cfg.Faults.Seed}, GuardConfig{}, Guarded(runner), ExptOptions{Workers: 2})
 	viaEngine := resultTable(camp.Points[0].Res)
 	if first != viaEngine {
 		t.Fatalf("serial and engine TPCC runs differ:\n--- serial ---\n%s\n--- engine ---\n%s", first, viaEngine)
@@ -68,16 +68,20 @@ func TestDeterminismBatchSweepSerialSerialParallel(t *testing.T) {
 	batches := []int{1, 8, 64}
 	const warmStores, stores = 400, 300
 
-	table := func(points []BatchSweepPoint, warmEnd uint64, err error) string {
+	table := func(workers int) string {
 		t.Helper()
+		points, failed, warmEnd, err := RunBatchSweepWarm(cfg, batches, warmStores, stores, GuardConfig{}, ExptOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(failed) != 0 {
+			t.Fatalf("sweep points failed:\n%s", FormatSweepFailures(failed))
+		}
 		return FormatSweepTable(points, warmEnd)
 	}
-	first := table(RunBatchSweepWarm(cfg, batches, warmStores, stores))
-	second := table(RunBatchSweepWarm(cfg, batches, warmStores, stores))
-	parallel := table(RunBatchSweepWarmParallel(cfg, batches, warmStores, stores, ExptOptions{Workers: 4}))
+	first := table(1)
+	second := table(1)
+	parallel := table(4)
 
 	if first != second {
 		t.Fatalf("two serial sweeps differ:\n--- first ---\n%s\n--- second ---\n%s", first, second)
@@ -132,8 +136,8 @@ func TestDeterminismSeedCampaignWorkersInvariant(t *testing.T) {
 	runner := func(c Config) Result { return RunTPCC(c, w) }
 	seeds := CampaignSeeds(11, 4)
 
-	one := RunSeedCampaign(cfg, seeds, runner, ExptOptions{Workers: 1})
-	many := RunSeedCampaign(cfg, seeds, runner, ExptOptions{Workers: 4})
+	one := RunSeedCampaign(cfg, seeds, GuardConfig{}, Guarded(runner), ExptOptions{Workers: 1})
+	many := RunSeedCampaign(cfg, seeds, GuardConfig{}, Guarded(runner), ExptOptions{Workers: 4})
 
 	if got, want := one.String(), many.String(); got != want {
 		t.Fatalf("campaign summaries differ:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", got, want)

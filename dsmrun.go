@@ -2,7 +2,6 @@ package compass
 
 import (
 	"fmt"
-	"time"
 
 	"compass/internal/dsm"
 	"compass/internal/frontend"
@@ -20,52 +19,49 @@ import (
 // RunSOR on ArchCCNUMA for the hardware-vs-software coherence trade.
 func RunSORDSM(cfg Config, w SORConfig) Result {
 	cfg.CPUs = w.Procs // one node per worker
-	m := machine.New(cfg)
 	proto := dsm.New(dsm.DefaultConfig(w.Procs))
 
 	n := w.N
 	gridBytes := uint32(n*n*8 + mem.PageSize) // + page for the barrier
 	gridBytes = (gridBytes + mem.PageMask) &^ uint32(mem.PageMask)
 
-	for i := 0; i < w.Procs; i++ {
-		i := i
-		m.SpawnConnected(fmt.Sprintf("node%d", i), func(p *frontend.Proc) {
-			os := osserver.For(p)
-			segID, err := os.ShmGet(0xD50A, gridBytes)
-			if err != nil {
-				panic(err)
-			}
-			base, err := os.ShmAt(segID)
-			if err != nil {
-				panic(err)
-			}
-			region := dsm.NewRegion(m.Sim, proto, base+mem.PageSize, gridBytes-mem.PageSize)
-			view := region.NewView(i)
-			bar := &simsync.Barrier{Addr: base, N: uint64(w.Procs)}
-
-			cell := func(r, c int) mem.VirtAddr {
-				return region.Base + mem.VirtAddr((r*n+c)*8)
-			}
-			lo := 1 + (n-2)*i/w.Procs
-			hi := 1 + (n-2)*(i+1)/w.Procs
-			for it := 0; it < w.Iters; it++ {
-				for r := lo; r < hi; r++ {
-					// Row-granular rights checks (pages hold whole rows
-					// when n*8 <= PageSize), then the stencil traffic.
-					view.LoadRange(p, cell(r-1, 1), (n-2)*8)
-					view.LoadRange(p, cell(r+1, 1), (n-2)*8)
-					view.StoreRange(p, cell(r, 1), (n-2)*8)
-					p.Compute(isa.InstrMix{FPAdd: uint64(3 * (n - 2)), FPMul: uint64(n - 2), Int: uint64(8 * (n - 2)), Branch: uint64(n - 2)})
+	res := runOnce(cfg, "SOR/dsm", func(m *machine.Machine) {
+		for i := 0; i < w.Procs; i++ {
+			i := i
+			m.SpawnConnected(fmt.Sprintf("node%d", i), func(p *frontend.Proc) {
+				os := osserver.For(p)
+				segID, err := os.ShmGet(0xD50A, gridBytes)
+				if err != nil {
+					panic(err)
 				}
-				bar.Wait(p)
-			}
-		})
-	}
-	start := time.Now()
-	end := m.Sim.Run()
-	res := finish("SOR/dsm", m, uint64(end), time.Since(start))
-	var c = res.Counters
-	proto.AddCounters(c)
+				base, err := os.ShmAt(segID)
+				if err != nil {
+					panic(err)
+				}
+				region := dsm.NewRegion(m.Sim, proto, base+mem.PageSize, gridBytes-mem.PageSize)
+				view := region.NewView(i)
+				bar := &simsync.Barrier{Addr: base, N: uint64(w.Procs)}
+
+				cell := func(r, c int) mem.VirtAddr {
+					return region.Base + mem.VirtAddr((r*n+c)*8)
+				}
+				lo := 1 + (n-2)*i/w.Procs
+				hi := 1 + (n-2)*(i+1)/w.Procs
+				for it := 0; it < w.Iters; it++ {
+					for r := lo; r < hi; r++ {
+						// Row-granular rights checks (pages hold whole rows
+						// when n*8 <= PageSize), then the stencil traffic.
+						view.LoadRange(p, cell(r-1, 1), (n-2)*8)
+						view.LoadRange(p, cell(r+1, 1), (n-2)*8)
+						view.StoreRange(p, cell(r, 1), (n-2)*8)
+						p.Compute(isa.InstrMix{FPAdd: uint64(3 * (n - 2)), FPMul: uint64(n - 2), Int: uint64(8 * (n - 2)), Branch: uint64(n - 2)})
+					}
+					bar.Wait(p)
+				}
+			})
+		}
+	})
+	proto.AddCounters(res.Counters)
 	res.Extra["dsm.pagemoves"] = float64(proto.PageMoves)
 	res.Extra["dsm.faults"] = float64(proto.ReadFaults + proto.WriteFaults)
 	return res

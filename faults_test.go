@@ -130,11 +130,11 @@ func TestFaultsCheckpointDeterministicTPCC(t *testing.T) {
 	cfg.Faults = faultPlan()
 	path := filepath.Join(t.TempDir(), "tpcc-faults.ckpt")
 
-	ref, err := RunTPCCWithOptions(cfg, warm, measured, RunOptions{WarmupCheckpoint: path})
+	ref, err := RunPhased(cfg, []TPCCConfig{warm, measured}, 0, 0, Checkpoints{Save: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunTPCCWithOptions(cfg, warm, measured, RunOptions{ResumeFrom: path})
+	got, err := RunPhased(cfg, []TPCCConfig{warm, measured}, 0, 0, Checkpoints{Resume: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +157,11 @@ func TestFaultsCheckpointDeterministicSPECWeb(t *testing.T) {
 	cfg.Faults = faultPlan()
 	path := filepath.Join(t.TempDir(), "web-faults.ckpt")
 
-	ref, err := RunSPECWebWithOptions(cfg, warm, measured, 2, 4, RunOptions{WarmupCheckpoint: path})
+	ref, err := RunPhased(cfg, []SPECWebConfig{warm, measured}, 2, 4, Checkpoints{Save: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSPECWebWithOptions(cfg, warm, measured, 2, 4, RunOptions{ResumeFrom: path})
+	got, err := RunPhased(cfg, []SPECWebConfig{warm, measured}, 2, 4, Checkpoints{Resume: path})
 	if err != nil {
 		t.Fatal(err)
 	}

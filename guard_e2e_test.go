@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"compass/internal/expt"
 	"compass/internal/guard"
+	"compass/internal/machine"
 )
 
 // Supervision is pure host-side observation: a guarded run whose watchdog
@@ -36,8 +38,9 @@ func TestGuardedRunMatchesUnguarded(t *testing.T) {
 }
 
 // A guarded campaign with no failures renders byte-identically to the
-// plain campaign: same summary table, same aggregated fault table, no
-// quarantine section.
+// campaign under a zero GuardConfig — same summary table, same aggregated
+// fault table, no quarantine section — and every point is byte-identical
+// to an unsupervised run of its seed.
 func TestGuardedCampaignMatchesUnguarded(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CPUs = 2
@@ -48,8 +51,8 @@ func TestGuardedCampaignMatchesUnguarded(t *testing.T) {
 	runner := func(c Config) Result { return RunTPCC(c, w) }
 	seeds := CampaignSeeds(11, 3)
 
-	plain := RunSeedCampaign(cfg, seeds, runner, ExptOptions{Workers: 2})
-	guarded := RunSeedCampaignGuarded(cfg, seeds, GuardConfig{Deadline: 5 * time.Minute}, Guarded(runner), ExptOptions{Workers: 2})
+	plain := RunSeedCampaign(cfg, seeds, GuardConfig{}, Guarded(runner), ExptOptions{Workers: 2})
+	guarded := RunSeedCampaign(cfg, seeds, GuardConfig{Deadline: 5 * time.Minute}, Guarded(runner), ExptOptions{Workers: 2})
 
 	if len(guarded.Failed) != 0 {
 		t.Fatalf("clean campaign quarantined points: %+v", guarded.Failed)
@@ -60,23 +63,47 @@ func TestGuardedCampaignMatchesUnguarded(t *testing.T) {
 	if a, b := plain.FaultTable(), guarded.FaultTable(); a != b {
 		t.Fatalf("aggregated fault tables differ:\n--- plain ---\n%s\n--- guarded ---\n%s", a, b)
 	}
+	for i, seed := range seeds {
+		scfg := cfg
+		scfg.Faults.Seed = seed
+		if a, b := resultTable(runner(scfg)), resultTable(guarded.Points[i].Res); a != b {
+			t.Fatalf("seed %d: guarded point differs from unsupervised run:\n--- unsupervised ---\n%s\n--- guarded ---\n%s", seed, a, b)
+		}
+	}
 }
 
 // A guarded batch sweep with no failures produces the same sweep table
-// as the unguarded parallel sweep, per-point counters included.
+// as an unsupervised warm sweep built by hand (one warm machine, one
+// snapshot, each point restored and run in turn), per-point counters
+// included.
 func TestGuardedSweepMatchesUnguarded(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CPUs = 2
 	batches := []int{1, 8, 64}
 	const warmStores, stores = 400, 300
 
-	points, warmEnd, err := RunBatchSweepWarmParallel(cfg, batches, warmStores, stores, ExptOptions{Workers: 2})
+	m := machine.New(cfg)
+	spawnSweepProcs(m, cfg.CPUs, 0, 1, warmStores)
+	warmEnd := uint64(m.Sim.Run())
+	snap, err := expt.TakeSnapshot(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var points []BatchSweepPoint
+	for _, b := range batches {
+		rm, err := snap.Restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spawnSweepProcs(rm, cfg.CPUs, cfg.CPUs, b, stores)
+		end := uint64(rm.Sim.Run())
+		c := rm.Sim.Counters()
+		rm.FaultCounters(c)
+		points = append(points, BatchSweepPoint{Batch: b, End: end, Measured: end - warmEnd, Counters: c})
+	}
 	want := FormatSweepTable(points, warmEnd)
 
-	gp, failed, gw, err := RunBatchSweepWarmGuarded(cfg, batches, warmStores, stores,
+	gp, failed, gw, err := RunBatchSweepWarm(cfg, batches, warmStores, stores,
 		GuardConfig{Deadline: 5 * time.Minute}, ExptOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -102,14 +129,17 @@ func TestAutoCkptCrashResumeByteIdentical(t *testing.T) {
 	w.Agents = 2
 	w.TxPerAgent = 4
 
-	straight, err := RunTPCCAuto(cfg, w, AutoCkpt{Interval: 1, Dir: t.TempDir(), Segments: 4})
+	segs := tpccSegments(w, 4)
+	straight, err := RunPhased(cfg, segs, 0, 0, Checkpoints{Interval: 1, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
 	_, err = RunGuarded(cfg, GuardConfig{BundleDir: t.TempDir()}, "tpcc",
-		GuardedTPCCAuto(w, AutoCkpt{Interval: 1, Dir: dir, Segments: 4, ChaosCrashSegment: 2}))
+		func(c Config, sess *guard.Session) (Result, error) {
+			return RunPhased(c, segs, 0, 0, Checkpoints{Interval: 1, Dir: dir, Note: sess.NoteCheckpoint, CrashAfter: 2})
+		})
 	var a *guard.Abort
 	if !errors.As(err, &a) || a.Kind != guard.KindPanic {
 		t.Fatalf("crash attempt returned %v, want a contained panic", err)
@@ -125,7 +155,7 @@ func TestAutoCkptCrashResumeByteIdentical(t *testing.T) {
 		t.Fatal("bundle carries no auto-checkpoint")
 	}
 
-	resumed, err := RunTPCCAuto(cfg, w, AutoCkpt{Interval: 1, Dir: dir, Segments: 4})
+	resumed, err := RunPhased(cfg, segs, 0, 0, Checkpoints{Interval: 1, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,22 +174,12 @@ func TestGuardedCampaignQuarantineAndBundleReplay(t *testing.T) {
 		Faults: "seed=7,disk.transient=0.3,net.drop=0.05",
 		Chaos:  "crashseed=13",
 	}
-	cfg, err := SpecConfig(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := SpecRunner(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	gcfg := GuardConfig{Retries: 1, Backoff: time.Millisecond, BundleDir: t.TempDir()}
-	if err := SpecChaos(spec, &cfg, &gcfg); err != nil {
+	seeds := CampaignSeeds(11, 4) // 11..14; seed 13 crashes
+	camp, err := RunSpecCampaign(spec, seeds, gcfg, ExptOptions{Workers: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	gcfg.Spec = spec
-
-	seeds := CampaignSeeds(11, 4) // 11..14; seed 13 crashes
-	camp := RunSeedCampaignGuarded(cfg, seeds, gcfg, run, ExptOptions{Workers: 2})
 
 	if len(camp.Points) != 3 {
 		t.Fatalf("got %d surviving points, want 3: %s", len(camp.Points), camp.String())

@@ -1,8 +1,11 @@
 package compass
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
+	"strconv"
+	"strings"
 
 	"compass/internal/frontend"
 	"compass/internal/guard"
@@ -79,7 +82,8 @@ type ChaosConfig struct {
 	// whose effective fault seed equals this value. 0 = off.
 	CrashSeed uint64
 	// CrashSegment injects a panic after that many segments of an
-	// auto-checkpointed run complete (1-based; see AutoCkpt). 0 = off.
+	// auto-checkpointed run complete (1-based; see Checkpoints.CrashAfter).
+	// 0 = off.
 	CrashSegment int
 	// Block spawns a process that blocks forever on an empty pipe: with the
 	// RTC off the engine proves a deadlock; with it on, the run spins on
@@ -88,49 +92,34 @@ type ChaosConfig struct {
 }
 
 // ParseChaosSpec parses a -chaos specification: comma-separated
-// "crashseed=N", "crashsegment=N", "block".
+// "crashseed=N", "crashsegment=N", "block", with N a non-negative decimal
+// integer. Anything else — an unknown element, a sign, trailing bytes —
+// is an error, so a typo never silently injects (or fails to inject) a
+// fault.
 func ParseChaosSpec(spec string) (ChaosConfig, error) {
 	var c ChaosConfig
-	if spec == "" {
-		return c, nil
-	}
-	for _, part := range splitComma(spec) {
+	for _, part := range strings.Split(spec, ",") {
+		key, val, hasVal := strings.Cut(part, "=")
+		var err error
 		switch {
+		case part == "":
+			continue
 		case part == "block":
 			c.Block = true
-		default:
+		case key == "crashseed" && hasVal:
+			c.CrashSeed, err = strconv.ParseUint(val, 10, 64)
+		case key == "crashsegment" && hasVal:
 			var n uint64
-			if _, err := fmt.Sscanf(part, "crashseed=%d", &n); err == nil {
-				c.CrashSeed = n
-				continue
-			}
-			var k int
-			if _, err := fmt.Sscanf(part, "crashsegment=%d", &k); err == nil {
-				c.CrashSegment = k
-				continue
-			}
-			return c, fmt.Errorf("compass: bad -chaos element %q", part)
+			n, err = strconv.ParseUint(val, 10, 31)
+			c.CrashSegment = int(n)
+		default:
+			err = errors.New("unknown element")
+		}
+		if err != nil {
+			return ChaosConfig{}, fmt.Errorf("compass: bad -chaos element %q", part)
 		}
 	}
 	return c, nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	for len(s) > 0 {
-		i := 0
-		for i < len(s) && s[i] != ',' {
-			i++
-		}
-		if i > 0 {
-			out = append(out, s[:i])
-		}
-		if i == len(s) {
-			break
-		}
-		s = s[i+1:]
-	}
-	return out
 }
 
 // ChaosPanicFor returns the guard.Config injection hook for a chaos plan:

@@ -90,10 +90,13 @@ type Info struct {
 
 // ConfigHash fingerprints a machine configuration. Two machines accept each
 // other's snapshots iff their hashes match; the hash covers every Config
-// field via its Go-syntax representation. Host-side hooks (Observe) are
-// normalized away first: they carry no machine shape, and %#v would render
-// a function pointer's address, which varies between processes.
+// field via its Go-syntax representation. The config is first made
+// canonical, as machine.New does, so a caller's config hashes like the
+// machine built from it. Host-side hooks (Observe) are normalized away
+// too: they carry no machine shape, and %#v would render a function
+// pointer's address, which varies between processes.
 func ConfigHash(cfg machine.Config) [32]byte {
+	cfg = cfg.Canonical()
 	cfg.Observe = nil
 	return sha256.Sum256([]byte(fmt.Sprintf("%#v", cfg)))
 }

@@ -149,11 +149,19 @@ type Machine struct {
 	OS   *osserver.Server
 }
 
-// New assembles a machine (setup context).
-func New(cfg Config) *Machine {
+// Canonical returns cfg as New builds a machine from it (Nodes < 1 means
+// one node), so two configs that build the same machine compare, and
+// hash, equal.
+func (cfg Config) Canonical() Config {
 	if cfg.Nodes < 1 {
 		cfg.Nodes = 1
 	}
+	return cfg
+}
+
+// New assembles a machine (setup context).
+func New(cfg Config) *Machine {
+	cfg = cfg.Canonical()
 	if cfg.CPUs%cfg.Nodes != 0 {
 		panic(fmt.Sprintf("machine: %d CPUs not divisible by %d nodes", cfg.CPUs, cfg.Nodes))
 	}

@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"time"
 
 	"compass/internal/apps/httpd"
 	"compass/internal/apps/tier3"
-	"compass/internal/checkpoint"
-	"compass/internal/frontend"
 	"compass/internal/fs"
 	"compass/internal/loadgen"
 	"compass/internal/machine"
@@ -23,16 +20,6 @@ type LoadConfig = loadgen.Config
 // ParseLoadSpec parses a -load command-line specification such as
 // "seed=42,requests=400;class=web,clients=1000000,interval=1e9,flash=2e6:4e6:8".
 func ParseLoadSpec(spec string) (LoadConfig, error) { return loadgen.ParseSpec(spec) }
-
-// DefaultLoad returns a small single-class open-loop plan.
-func DefaultLoad() LoadConfig {
-	c := LoadConfig{
-		Requests: 120,
-		Classes:  []loadgen.ClassConfig{{Name: "web", Clients: 100_000, Interval: 2.5e8}},
-	}
-	c.ApplyDefaults()
-	return c
-}
 
 // staticCatalogs derives the per-class object catalogs of a static-file
 // plan — a pure function of the plan, so a resumed run rebuilds the
@@ -80,108 +67,14 @@ func tier3Catalogs(lc LoadConfig, w Tier3Config, wl *tier3.Workload) []loadgen.C
 	return cats
 }
 
-// enableLoadARQ arms the generator's link-level retransmission when the
-// machine injects network faults, exactly as the trace player does.
-func enableLoadARQ(g *loadgen.Generator, cfg Config) {
-	fc := cfg.Faults
-	fc.ApplyDefaults()
-	if fc.NetEnabled() {
-		g.EnableARQ(fc.Net)
-	}
-}
-
-// loadResult folds the generator's tallies and latency table into a
-// finished Result.
-func loadResult(name string, m *machine.Machine, g *loadgen.Generator, end uint64, wall time.Duration) Result {
-	res := finish(name, m, end, wall)
+// addLoadStats records the generator's tallies and latency table.
+func addLoadStats(res *Result, g *loadgen.Generator) {
 	res.LoadTable = stats.FormatLoadTable(g.Rows())
 	res.Extra["offered"] = float64(g.Offered())
 	res.Extra["completed"] = float64(g.Completed())
 	res.Extra["failed"] = float64(g.Failed())
 	res.Extra["badbytes"] = float64(g.BadBytes())
-	return res
 }
-
-// RunLoadHTTPD runs the web server under the open-loop generator: the
-// million-client analogue of RunSPECWeb's closed-loop trace player.
-func RunLoadHTTPD(cfg Config, lc LoadConfig, workers int) (Result, error) {
-	res, _, err := runLoadHTTPD(cfg, lc, workers)
-	return res, err
-}
-
-// runLoadHTTPD exposes the generator for tests that assert on pool
-// behavior (memory proportional to in-flight requests, not clients).
-func runLoadHTTPD(cfg Config, lc LoadConfig, workers int) (Result, *loadgen.Generator, error) {
-	if err := lc.Validate(); err != nil {
-		return Result{}, nil, err
-	}
-	m := machine.New(cfg)
-	cats := staticCatalogs(lc)
-	materializeStatic(m.FS, lc, cats)
-	hcfg := httpd.DefaultConfig()
-	hcfg.Workers = workers
-	m.FS.SetupCreate(hcfg.LogFile, nil)
-	st := make([]httpd.Stats, workers)
-	spawnHTTPDWorkers(m, hcfg, st, 0)
-	g, err := loadgen.New(m.Sim, m.NIC, lc, cats, workers, hcfg.Port)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	enableLoadARQ(g, cfg)
-	g.Start()
-	start := time.Now()
-	end := m.Sim.Run()
-	res := loadResult("load/httpd", m, g, uint64(end), time.Since(start))
-	var served, sent uint64
-	for _, s := range st {
-		served += s.Served
-		sent += s.BytesSent
-	}
-	res.Extra["served"] = float64(served)
-	res.Extra["bytes"] = float64(sent)
-	return res, g, nil
-}
-
-// RunLoadTier3 runs the three-tier dynamic-content stack under the
-// open-loop generator.
-func RunLoadTier3(cfg Config, w Tier3Config, lc LoadConfig) (Result, error) {
-	if err := lc.Validate(); err != nil {
-		return Result{}, err
-	}
-	m := machine.New(cfg)
-	wl := tier3.Setup(m.FS, w)
-	st := make([]tier3.Stats, w.WebWorkers)
-	for i := 0; i < w.DBWorkers; i++ {
-		m.SpawnConnected(fmt.Sprintf("db%d", i), func(p *frontend.Proc) {
-			wl.DBWorker(p)
-		})
-	}
-	for i := 0; i < w.WebWorkers; i++ {
-		i := i
-		m.SpawnConnected(fmt.Sprintf("web%d", i), func(p *frontend.Proc) {
-			wl.WebWorker(p, &st[i])
-		})
-	}
-	g, err := loadgen.New(m.Sim, m.NIC, lc, tier3Catalogs(lc, w, wl), w.WebWorkers, w.WebPort)
-	if err != nil {
-		return Result{}, err
-	}
-	enableLoadARQ(g, cfg)
-	g.Start()
-	start := time.Now()
-	end := m.Sim.Run()
-	res := loadResult("load/tier3", m, g, uint64(end), time.Since(start))
-	var ok uint64
-	for _, s := range st {
-		ok += s.OK
-	}
-	res.Extra["ok"] = float64(ok)
-	return res, nil
-}
-
-// loadSection names the generator's host-side state section in a
-// checkpoint.
-const loadSection = "loadgen"
 
 // loadMeta is the loadgen checkpoint section: the worker-name base plus
 // the generator's aggregate state (draw counters, tallies, histograms).
@@ -190,98 +83,116 @@ type loadMeta struct {
 	Gen        loadgen.State
 }
 
-// RunLoadHTTPDWithOptions runs the open-loop web workload in two
-// phases: the warm plan, then the measured plan on the same machine and
-// continued draw streams. The measured Requests budget is cumulative
-// (it counts the warm phase's offered requests), so a warm plan of 100
-// and a measured plan of 300 offer 200 requests in the second phase.
-// Flash windows are absolute simulated cycles, so a window opened late
-// in the warm phase is still surging when the measured phase resumes —
-// including across a checkpoint (see RunOptions).
-func RunLoadHTTPDWithOptions(cfg Config, warm, measured LoadConfig, workers int, opts RunOptions) (Result, error) {
-	if err := opts.validate(); err != nil {
-		return Result{}, err
-	}
-	if err := measured.Validate(); err != nil {
-		return Result{}, err
+// RunLoadHTTPD runs the web server under the open-loop generator: the
+// million-client analogue of RunSPECWeb's closed-loop trace player.
+func RunLoadHTTPD(cfg Config, lc LoadConfig, workers int) (Result, error) {
+	res, _, err := runLoadHTTPD(cfg, []LoadConfig{lc}, workers, Checkpoints{})
+	return res, err
+}
+
+// runLoadHTTPD is RunPhased's open-loop case. It also returns the last
+// phase's generator, for tests that assert on pool behavior (memory
+// proportional to in-flight requests, not clients).
+func runLoadHTTPD(cfg Config, phases []LoadConfig, workers int, ck Checkpoints) (Result, *loadgen.Generator, error) {
+	for _, lc := range phases {
+		if err := lc.Validate(); err != nil {
+			return Result{}, nil, err
+		}
 	}
 	hcfg := httpd.DefaultConfig()
 	hcfg.Workers = workers
 	var (
-		m     *machine.Machine
 		base  int
-		state loadgen.State
+		st    []httpd.Stats
+		g     *loadgen.Generator
+		state *loadgen.State // the previous phase's generator, continued by the next
 	)
-	start := time.Now()
-	if opts.ResumeFrom != "" {
-		var sections map[string][]byte
-		var err error
-		m, sections, err = restoreCheckpointFile(opts.ResumeFrom)
-		if err != nil {
-			return Result{}, err
+	// continued snapshots the current generator for the next phase or a
+	// checkpoint; a restored run has it from the checkpoint.
+	continued := func() (*loadgen.State, error) {
+		if g == nil {
+			return state, nil
 		}
-		raw, ok := sections[loadSection]
-		if !ok {
-			return Result{}, fmt.Errorf("compass: checkpoint has no %q section", loadSection)
-		}
-		var meta loadMeta
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&meta); err != nil {
-			return Result{}, err
-		}
-		base = meta.WorkerBase
-		state = meta.Gen
-	} else {
-		if err := warm.Validate(); err != nil {
-			return Result{}, err
-		}
-		m = machine.New(cfg)
-		warmCats := staticCatalogs(warm)
-		materializeStatic(m.FS, warm, warmCats)
-		m.FS.SetupCreate(hcfg.LogFile, nil)
-		warmSt := make([]httpd.Stats, workers)
-		spawnHTTPDWorkers(m, hcfg, warmSt, 0)
-		warmGen, err := loadgen.New(m.Sim, m.NIC, warm, warmCats, workers, hcfg.Port)
-		if err != nil {
-			return Result{}, err
-		}
-		enableLoadARQ(warmGen, m.Cfg)
-		warmGen.Start()
-		m.Sim.Run()
-		base = workers
-		if state, err = warmGen.Snapshot(); err != nil {
-			return Result{}, err
-		}
-		if opts.WarmupCheckpoint != "" {
-			var meta bytes.Buffer
-			if err := gob.NewEncoder(&meta).Encode(loadMeta{WorkerBase: base, Gen: state}); err != nil {
-				return Result{}, err
-			}
-			if err := saveCheckpointFile(opts.WarmupCheckpoint, m,
-				[]checkpoint.Section{{Name: loadSection, Data: meta.Bytes()}}); err != nil {
-				return Result{}, err
-			}
-		}
+		s, err := g.Snapshot()
+		return &s, err
 	}
+	j := &job{
+		name:   "load/httpd",
+		phases: len(phases),
+		spawn: func(m *machine.Machine, k int) (bool, error) {
+			lc := phases[k]
+			cats := staticCatalogs(lc)
+			if k == 0 {
+				materializeStatic(m.FS, lc, cats)
+				m.FS.SetupCreate(hcfg.LogFile, nil)
+			}
+			prev, err := continued()
+			if err != nil {
+				return false, err
+			}
+			st = make([]httpd.Stats, workers)
+			spawnHTTPDWorkers(m, hcfg, st, base)
+			base += workers
+			if g, err = loadgen.New(m.Sim, m.NIC, lc, cats, workers, hcfg.Port); err != nil {
+				return false, err
+			}
+			if prev != nil {
+				if err := g.Restore(*prev); err != nil {
+					return false, err
+				}
+			}
+			enableARQ(g, m.Cfg)
+			g.Start()
+			return true, nil
+		},
+		section: "loadgen",
+		attach: func(raw []byte) error {
+			var meta loadMeta
+			err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&meta)
+			base, state = meta.WorkerBase, &meta.Gen
+			return err
+		},
+		save: func() ([]byte, error) {
+			gen, err := continued()
+			if err != nil {
+				return nil, err
+			}
+			var buf bytes.Buffer
+			err = gob.NewEncoder(&buf).Encode(loadMeta{WorkerBase: base, Gen: *gen})
+			return buf.Bytes(), err
+		},
+		extra: func(res *Result) {
+			addLoadStats(res, g)
+			addHTTPDStats(res, st)
+		},
+	}
+	res, err := drive(cfg, j, ck)
+	return res, g, err
+}
 
-	st := make([]httpd.Stats, workers)
-	spawnHTTPDWorkers(m, hcfg, st, base)
-	g, err := loadgen.New(m.Sim, m.NIC, measured, staticCatalogs(measured), workers, hcfg.Port)
+// RunLoadTier3 runs the three-tier dynamic-content stack under the
+// open-loop generator.
+func RunLoadTier3(cfg Config, w Tier3Config, lc LoadConfig) (Result, error) {
+	if err := lc.Validate(); err != nil {
+		return Result{}, err
+	}
+	st := make([]tier3.Stats, w.WebWorkers)
+	var g *loadgen.Generator
+	res, err := drive(cfg, &job{name: "load/tier3", phases: 1, spawn: func(m *machine.Machine, _ int) (bool, error) {
+		wl := tier3.Setup(m.FS, w)
+		spawnTier3(m, w, wl, st)
+		var err error
+		if g, err = loadgen.New(m.Sim, m.NIC, lc, tier3Catalogs(lc, w, wl), w.WebWorkers, w.WebPort); err != nil {
+			return false, err
+		}
+		enableARQ(g, cfg)
+		g.Start()
+		return true, nil
+	}}, Checkpoints{})
 	if err != nil {
 		return Result{}, err
 	}
-	if err := g.Restore(state); err != nil {
-		return Result{}, err
-	}
-	enableLoadARQ(g, m.Cfg)
-	g.Start()
-	end := m.Sim.Run()
-	res := loadResult("load/httpd", m, g, uint64(end), time.Since(start))
-	var served, sent uint64
-	for _, s := range st {
-		served += s.Served
-		sent += s.BytesSent
-	}
-	res.Extra["served"] = float64(served)
-	res.Extra["bytes"] = float64(sent)
+	addLoadStats(&res, g)
+	addTier3Stats(&res, st)
 	return res, nil
 }

@@ -72,7 +72,7 @@ func TestLoadMillionClients(t *testing.T) {
 		},
 	}
 	lc.ApplyDefaults()
-	res, g, err := runLoadHTTPD(loadCfg(), lc, 2)
+	res, g, err := runLoadHTTPD(loadCfg(), []LoadConfig{lc}, 2, Checkpoints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestLoadCheckpointResumeMidFlashCrowd(t *testing.T) {
 	measured := warm
 	measured.Requests = 160 // cumulative: 100 more requests after the warm 60
 
-	straight, err := RunLoadHTTPDWithOptions(cfg, warm, measured, 2, RunOptions{})
+	straight, err := RunPhased(cfg, []LoadConfig{warm, measured}, 2, 0, Checkpoints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestLoadCheckpointResumeMidFlashCrowd(t *testing.T) {
 	}
 
 	ckpt := filepath.Join(t.TempDir(), "load.ckpt")
-	saved, err := RunLoadHTTPDWithOptions(cfg, warm, measured, 2, RunOptions{WarmupCheckpoint: ckpt})
+	saved, err := RunPhased(cfg, []LoadConfig{warm, measured}, 2, 0, Checkpoints{Save: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := RunLoadHTTPDWithOptions(cfg, warm, measured, 2, RunOptions{ResumeFrom: ckpt})
+	resumed, err := RunPhased(cfg, []LoadConfig{warm, measured}, 2, 0, Checkpoints{Resume: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestLoadFaultFlashMatrix(t *testing.T) {
 			if tc.faults {
 				cfg.Faults = faultPlan()
 			}
-			first, g, err := runLoadHTTPD(cfg, tc.plan, 2)
+			first, g, err := runLoadHTTPD(cfg, []LoadConfig{tc.plan}, 2, Checkpoints{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,7 +257,7 @@ func TestLoadARQGiveUpExhaustion(t *testing.T) {
 	}
 	lc.ApplyDefaults()
 
-	first, g, err := runLoadHTTPD(cfg, lc, 2)
+	first, g, err := runLoadHTTPD(cfg, []LoadConfig{lc}, 2, Checkpoints{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,72 +71,12 @@ func (p BatchSweepPoint) SimCycles() uint64 { return p.Measured }
 type Progress = expt.Progress
 
 // ExptOptions configures the parallel experiment engine behind the
-// fan-out helpers (RunBatchSweepWarmParallel, RunSeedCampaign).
+// fan-out helpers (RunBatchSweepWarm, RunSeedCampaign).
 type ExptOptions struct {
 	// Workers sizes the host worker pool; <=0 means GOMAXPROCS.
 	Workers int
 	// Progress, when non-nil, receives serialized progress updates.
 	Progress func(Progress)
-}
-
-// RunBatchSweepWarm runs the batch sweep with every point resumed from one
-// in-memory warm snapshot: the warm phase (warmStores strided stores per
-// CPU) is simulated once, checkpointed, and each batch setting restores the
-// snapshot and simulates only its measured phase. Against len(batches) cold
-// starts, the total simulated cycles drop by (len(batches)-1) warm phases.
-// Returns the per-point measurements and the warm phase's end cycle.
-//
-// This is the serial path: one worker, points in order. It is the
-// reference the determinism test holds RunBatchSweepWarmParallel to.
-func RunBatchSweepWarm(cfg Config, batches []int, warmStores, stores int) ([]BatchSweepPoint, uint64, error) {
-	return RunBatchSweepWarmParallel(cfg, batches, warmStores, stores, ExptOptions{Workers: 1})
-}
-
-// RunBatchSweepWarmParallel fans the measured phases out across host
-// cores: the warm phase is simulated once, its snapshot bytes are shared
-// read-only, and each worker restores a private machine per point.
-// Points come back ordered by batches index — never completion order —
-// and are bit-identical to the Workers=1 run.
-func RunBatchSweepWarmParallel(cfg Config, batches []int, warmStores, stores int, opts ExptOptions) ([]BatchSweepPoint, uint64, error) {
-	m := machine.New(cfg)
-	spawnSweepProcs(m, cfg.CPUs, 0, 1, warmStores)
-	warmEnd := uint64(m.Sim.Run())
-	snap, err := expt.TakeSnapshot(m, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	jobs := make([]expt.Job[BatchSweepPoint], len(batches))
-	for i, b := range batches {
-		b := b
-		jobs[i] = expt.Job[BatchSweepPoint]{
-			Name: fmt.Sprintf("batch%d", b),
-			// Every point simulates the same store count; weight them
-			// equally by the expected measured cycles (~ stores).
-			EstCycles: uint64(stores),
-			Run: func() (BatchSweepPoint, error) {
-				rm, err := snap.Restore()
-				if err != nil {
-					return BatchSweepPoint{}, err
-				}
-				spawnSweepProcs(rm, cfg.CPUs, cfg.CPUs, b, stores)
-				end := uint64(rm.Sim.Run())
-				c := rm.Sim.Counters()
-				rm.FaultCounters(c)
-				return BatchSweepPoint{
-					Batch:    b,
-					End:      end,
-					Measured: end - warmEnd,
-					Counters: c,
-				}, nil
-			},
-		}
-	}
-	rs := expt.Run(expt.Config{Workers: opts.Workers, Progress: opts.Progress}, jobs)
-	if err := expt.FirstErr(rs); err != nil {
-		return nil, 0, err
-	}
-	return expt.Values(rs), warmEnd, nil
 }
 
 // SweepFailure is one batch point that produced no measurement in a
@@ -152,13 +92,20 @@ type SweepFailure struct {
 	Bundle string
 }
 
-// RunBatchSweepWarmGuarded is RunBatchSweepWarmParallel under supervision:
-// the warm phase and every measured point run in their own guard session,
-// so one point's panic or stall costs that point, not the sweep. Returns
-// the surviving points (ordered by batches index), the failed points'
-// table rows, and the warm end cycle. Points that never trip are
-// bit-identical to the unguarded sweep's.
-func RunBatchSweepWarmGuarded(cfg Config, batches []int, warmStores, stores int, gcfg guard.Config, opts ExptOptions) ([]BatchSweepPoint, []SweepFailure, uint64, error) {
+// RunBatchSweepWarm runs the batch sweep with every point resumed from one
+// in-memory warm snapshot: the warm phase (warmStores strided stores per
+// CPU) is simulated once, checkpointed, and each batch setting restores the
+// snapshot and simulates only its measured phase. Against len(batches) cold
+// starts, the total simulated cycles drop by (len(batches)-1) warm phases.
+//
+// The measured phases fan out across opts.Workers host cores, each on a
+// private restored machine; points come back ordered by batches index —
+// never completion order — and are bit-identical to the Workers=1 run.
+// The warm phase and every point run in their own guard session, so one
+// point's panic or stall costs that point, not the sweep. Returns the
+// surviving points, the failed points' table rows, and the warm phase's
+// end cycle.
+func RunBatchSweepWarm(cfg Config, batches []int, warmStores, stores int, gcfg guard.Config, opts ExptOptions) ([]BatchSweepPoint, []SweepFailure, uint64, error) {
 	m := machine.New(cfg)
 	wsess := guard.NewSession(bundleSub(gcfg, "warm"))
 	var (
@@ -183,7 +130,9 @@ func RunBatchSweepWarmGuarded(cfg Config, batches []int, warmStores, stores int,
 		label := fmt.Sprintf("batch%d", b)
 		pgcfg := bundleSub(gcfg, label)
 		jobs[i] = expt.Job[BatchSweepPoint]{
-			Name:      label,
+			Name: label,
+			// Every point simulates the same store count; weight them
+			// equally by the expected measured cycles (~ stores).
 			EstCycles: uint64(stores),
 			Run: func() (BatchSweepPoint, error) {
 				sess := guard.NewSession(pgcfg)

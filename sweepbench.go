@@ -54,14 +54,14 @@ func RunSweepBench(cfg Config, batches []int, warmStores, stores, workers int) (
 	}
 
 	t0 := time.Now()
-	ppoints, pwarm, err := RunBatchSweepWarmParallel(cfg, batches, warmStores, stores, ExptOptions{Workers: workers})
+	ppoints, pwarm, err := sweepPoints(cfg, batches, warmStores, stores, workers)
 	if err != nil {
 		return b, err
 	}
 	b.ParallelSeconds = time.Since(t0).Seconds()
 
 	t0 = time.Now()
-	spoints, swarm, err := RunBatchSweepWarm(cfg, batches, warmStores, stores)
+	spoints, swarm, err := sweepPoints(cfg, batches, warmStores, stores, 1)
 	if err != nil {
 		return b, err
 	}
@@ -97,4 +97,14 @@ func (b SweepBench) WriteFile(path string) error {
 func (b SweepBench) String() string {
 	return fmt.Sprintf("sweep %d points: serial %.2fs, parallel %.2fs on %d workers (%d cores) — %.2fx, identical=%v",
 		len(b.Batches), b.SerialSeconds, b.ParallelSeconds, b.Workers, b.HostCores, b.Speedup, b.Identical)
+}
+
+// sweepPoints runs the warm sweep on workers host cores; a failed point
+// fails the bench, which measures complete sweeps only.
+func sweepPoints(cfg Config, batches []int, warmStores, stores, workers int) ([]BatchSweepPoint, uint64, error) {
+	points, failed, warmEnd, err := RunBatchSweepWarm(cfg, batches, warmStores, stores, GuardConfig{}, ExptOptions{Workers: workers})
+	if err == nil && len(failed) > 0 {
+		err = fmt.Errorf("sweep bench: %d points failed:\n%s", len(failed), FormatSweepFailures(failed))
+	}
+	return points, warmEnd, err
 }

@@ -2,6 +2,7 @@ package compass
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -137,7 +138,7 @@ func Slowdown(hostProcs, targetCPUs, agents, rows int) SlowdownResult {
 	defer func() { frontend.HostWork = 0 }()
 	var rawWall, simpleWall, complexWall time.Duration
 	var simpleCycles, complexCycles, rawCycles uint64
-	WithGOMAXPROCS(hostProcs, func() {
+	withGOMAXPROCS(hostProcs, func() {
 		rawWall, rawCycles = slowdownWorkload(ArchFixed, targetCPUs, agents, rows, false)
 		simpleWall, simpleCycles = slowdownWorkload(ArchSimple, targetCPUs, agents, rows, true)
 		complexWall, complexCycles = slowdownWorkload(ArchCCNUMA, targetCPUs, agents, rows, true)
@@ -150,4 +151,12 @@ func Slowdown(hostProcs, targetCPUs, agents, rows int) SlowdownResult {
 			Slowdown: float64(complexWall) / float64(rawWall)},
 	}
 	return out
+}
+
+// withGOMAXPROCS runs fn with the host parallelism temporarily pinned —
+// the Table 2 (uniprocessor host) vs Table 3 (4-way SMP host) experiment.
+func withGOMAXPROCS(n int, fn func()) {
+	old := runtime.GOMAXPROCS(n)
+	defer runtime.GOMAXPROCS(old)
+	fn()
 }
